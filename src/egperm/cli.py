@@ -2,10 +2,11 @@
 
 Subcommands: compute, table, verify, pointcount, modform-compare,
 closed-form, catalog.  Graphs are addressed as ``file:<path>`` (text
-format) or ``catalog:<name>`` (bundled decompletion).  Set
-``EGPERM_RYSER_CAP`` / ``EGPERM_LATTICE_CAP`` to override the permanent
-size limits.  Exit status is nonzero whenever a verification or
-reproduction check fails.
+format) or ``catalog:<name>`` (bundled decompletion).  ``--algorithm
+auto`` (the default) runs the cofactor calculus; ``direct`` and
+``reduced`` are the block-Ryser cross-check oracles, and
+``EGPERM_LATTICE_CAP`` overrides their lattice size limit.  Exit status
+is 1 when a verification or reproduction check fails and 2 on bad input.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ from .graphs import (GraphError, OrientedGraph, block_spec, decomplete,
 from .modform import compare, eta_expand, parse_eta_product, residue_row, series_from_csv
 from .numtheory import admissible_primes
 from .pointcount import reconcile
-from .sequences import (EgpSequence, canonicalize_sign, closed_form_tree,
-                        closed_form_wheel, closed_form_zigzag, egp,
-                        sequence_from_row, sequences_equal)
+from .sequences import (ALGORITHMS, EgpSequence, canonicalize_sign,
+                        closed_form_tree, closed_form_wheel, closed_form_zigzag,
+                        egp, sequence_from_row, sequences_equal)
 from .transforms import FourCutSpec, isomorphic, planar_dual, schnetz_twist
 
 
 def _apply_cap_overrides() -> None:
-    ryser = os.environ.get("EGPERM_RYSER_CAP")
     lattice = os.environ.get("EGPERM_LATTICE_CAP")
-    if ryser:
-        permanent.RYSER_CAP = int(ryser)
     if lattice:
-        permanent.LATTICE_CAP = int(lattice)
+        try:
+            permanent.LATTICE_CAP = int(lattice)
+        except ValueError:
+            raise ValueError(
+                f"EGPERM_LATTICE_CAP must be an integer, got {lattice!r}") from None
 
 
 def _load_graph(spec: str) -> tuple[OrientedGraph, str]:
@@ -292,16 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="EGP sequence of a graph")
     add_graph(p)
     p.add_argument("--bound", type=int, default=41)
-    p.add_argument("--algorithm", choices=("direct", "reduced", "cofactor", "auto"),
-                   default="auto")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("table", help="reproduce the stored residue tables")
     p.add_argument("--appendix", choices=("A", "B"), default="A")
     p.add_argument("--bound", type=int, default=41)
-    p.add_argument("--algorithm", choices=("direct", "reduced", "cofactor", "auto"),
-                   default="auto")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_table)
 
@@ -342,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_cap_overrides()
     args = build_parser().parse_args(argv)
     try:
+        _apply_cap_overrides()
         return args.fn(args)
     except (GraphError, CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

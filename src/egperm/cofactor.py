@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import OrientedGraph, block_spec, reduced_incidence
+from .graphs import OrientedGraph, block_spec
 from .numtheory import mod_tables
 
 __all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor"]
@@ -46,16 +46,15 @@ class WeightedState:
 def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
     """Initial state for GPerm at prime p: vertices weigh n*calV, edges n*calE."""
     spec = block_spec(g)
-    if (p - 1) % spec.calV != 0 or p <= spec.calV:
-        raise ValueError(f"prime {p} is not admissible for calV={spec.calV}")
-    n = (p - 1) // spec.calV
+    n = spec.admissible_n(p)
     inc = []
     for t, h in g.edges:
         pairs = []
-        if h != g.special_vertex:
-            pairs.append((h, 1))
-        if t != g.special_vertex and t != h:
-            pairs.append((t, -1))
+        if t != h:  # a loop nets to a zero column, as in full_incidence
+            if h != g.special_vertex:
+                pairs.append((h, 1))
+            if t != g.special_vertex:
+                pairs.append((t, -1))
         inc.append(tuple(pairs))
     vweights = tuple(0 if v == g.special_vertex else n * spec.calV
                      for v in range(g.vertex_count))

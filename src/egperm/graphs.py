@@ -75,20 +75,8 @@ class OrientedGraph:
             deg[h] += 1
         return deg
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for t, h in self.edges:
-            if t == v and h != v:
-                out.add(h)
-            elif h == v and t != v:
-                out.add(t)
-        return out
-
     def with_special(self, v: int) -> "OrientedGraph":
         return OrientedGraph(self.vertex_count, self.edges, v)
-
-    def undirected_edge_multiset(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((min(t, h), max(t, h)) for t, h in self.edges))
 
     def components(self) -> list[set[int]]:
         seen = [False] * self.vertex_count
@@ -123,6 +111,12 @@ class BlockSpec:
     L: int
     calV: int
     calE: int
+
+    def admissible_n(self, p: int) -> int:
+        """The n with ``p = n*calV + 1``; ValueError if p is not admissible."""
+        if (p - 1) % self.calV != 0 or p <= self.calV:
+            raise ValueError(f"prime {p} is not admissible for calV={self.calV}")
+        return (p - 1) // self.calV
 
 
 @dataclass(frozen=True)

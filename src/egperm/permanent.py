@@ -12,12 +12,15 @@ Three tiers:
 
 On top of these sit the graph permanents ``gperm_direct`` and
 ``gperm_reduced`` and the unimodular row reduction used by the latter.
+Everything here is a cross-check oracle: the production path (``auto``)
+is the cofactor calculus in ``cofactor.gperm_cofactor``.  ``LATTICE_CAP``
+bounds the block Ryser behind ``direct`` and ``reduced``; ``RYSER_CAP``
+guards the Gray-code Ryser.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -26,7 +29,6 @@ from .graphs import OrientedGraph, block_spec, reduced_incidence
 from .numtheory import mod_tables
 
 __all__ = [
-    "BlockMatrix",
     "DimensionCapError",
     "RankDeficiencyError",
     "perm_leibniz",
@@ -49,26 +51,6 @@ class DimensionCapError(ValueError):
 
 class RankDeficiencyError(ValueError):
     """Matrix has deficient row rank (disconnected graph)."""
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    """``1_{row_reps x col_reps} (x) base`` without materialisation."""
-
-    base: np.ndarray
-    row_reps: int
-    col_reps: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=np.int64))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        r, c = self.base.shape
-        return (r * self.row_reps, c * self.col_reps)
-
-    def materialize(self) -> np.ndarray:
-        return np.kron(np.ones((self.row_reps, self.col_reps), dtype=np.int64), self.base)
 
 
 def perm_leibniz(m) -> int:
@@ -256,17 +238,10 @@ def blockwise_row_reduce(m) -> tuple[np.ndarray, list[int]]:
     return r0[:, col_perm], col_perm
 
 
-def _admissible_n(g: OrientedGraph, p: int) -> int:
-    spec = block_spec(g)
-    if (p - 1) % spec.calV != 0 or p <= spec.calV:
-        raise ValueError(f"prime {p} is not admissible for calV={spec.calV}")
-    return (p - 1) // spec.calV
-
-
 def gperm_direct(g: OrientedGraph, p: int) -> int:
     """Graph permanent at p straight from the block incidence matrix."""
     spec = block_spec(g)
-    n = _admissible_n(g, p)
+    n = spec.admissible_n(p)
     m = reduced_incidence(g).rows
     return block_perm_mod(m, n * spec.calV, n * spec.calE, p)
 
@@ -278,7 +253,7 @@ def gperm_reduced(g: OrientedGraph, p: int) -> int:
     block permanent of A, scaled by a falling-factorial power.
     """
     spec = block_spec(g)
-    n = _admissible_n(g, p)
+    n = spec.admissible_n(p)
     m = reduced_incidence(g).rows
     reduced, _ = blockwise_row_reduce(m)
     r = m.shape[0]

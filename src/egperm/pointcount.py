@@ -77,9 +77,7 @@ def coefficient_oracle(g: OrientedGraph, p: int) -> int:
     ``p - 1`` on the fly.
     """
     spec = block_spec(g)
-    if (p - 1) % spec.calV != 0 or p <= spec.calV:
-        raise ValueError(f"prime {p} is not admissible for calV={spec.calV}")
-    n = (p - 1) // spec.calV
+    n = spec.admissible_n(p)
     f = permanent_polynomial(g)
     L = f.num_vars
     if p ** L > MAX_COEFF_LATTICE:

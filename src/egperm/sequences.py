@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .cofactor import gperm_cofactor
 from .graphs import OrientedGraph, block_spec
 from .numtheory import admissible_primes, mod_tables
-from .permanent import DimensionCapError, gperm_direct, gperm_reduced
+from .permanent import gperm_direct, gperm_reduced
 
 __all__ = [
     "EgpValue",
@@ -60,21 +60,11 @@ def _variate(n: int, calE: int) -> bool:
 
 
 def _one_prime(g: OrientedGraph, p: int, algorithm: str) -> int:
+    # direct and reduced are the cross-check oracles; auto is cofactor
     if algorithm == "direct":
         return gperm_direct(g, p)
     if algorithm == "reduced":
         return gperm_reduced(g, p)
-    if algorithm == "cofactor":
-        return gperm_cofactor(g, p)
-    # auto: the direct block Ryser wins only on tiny lattices; otherwise
-    # the cofactor calculus is the cheapest on every catalog graph
-    spec = block_spec(g)
-    n = (p - 1) // spec.calV
-    if (n * spec.calE + 1) ** g.edge_count <= 65536:
-        try:
-            return gperm_direct(g, p)
-        except DimensionCapError:
-            pass
     return gperm_cofactor(g, p)
 
 

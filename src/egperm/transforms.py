@@ -219,8 +219,11 @@ def two_vertex_split(g: OrientedGraph,
                      pair: tuple[int, int]) -> tuple[OrientedGraph, OrientedGraph]:
     """Split at a 2-vertex cut; each side gains a new edge joining the pair."""
     v1, v2 = pair
-    rest = [v for v in range(g.vertex_count) if v not in (v1, v2)]
-    comps = _components_excluding(g, {v1, v2})
+    cut = {v1, v2}
+    without_pair = OrientedGraph(
+        g.vertex_count, tuple(e for e in g.edges if not cut & set(e)),
+        g.special_vertex)
+    comps = [c for c in without_pair.components() if not c & cut]
     if len(comps) < 2:
         raise GraphError("pair is not a 2-vertex cut")
     left = comps[0]
@@ -239,26 +242,3 @@ def two_vertex_split(g: OrientedGraph,
         edges.append((remap[v1], remap[v2]))
         sides.append(OrientedGraph(len(keep), tuple(edges), remap[v2]))
     return sides[0], sides[1]
-
-
-def _components_excluding(g: OrientedGraph, banned: set[int]) -> list[set[int]]:
-    seen = set(banned)
-    adj = [[] for _ in range(g.vertex_count)]
-    for t, h in g.edges:
-        adj[t].append(h)
-        adj[h].append(t)
-    comps = []
-    for s in range(g.vertex_count):
-        if s in seen:
-            continue
-        stack, comp = [s], set()
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps

@@ -94,12 +94,26 @@ def test_unreadable_file_exits_2(capsys):
 
 
 def test_cap_override_env(capsys, monkeypatch):
-    monkeypatch.setenv("EGPERM_RYSER_CAP", "5")
-    old = permanent.RYSER_CAP
-    try:
-        code, _, _ = run(capsys, "compute", "--graph", "catalog:P_1_1",
+    monkeypatch.setattr(permanent, "LATTICE_CAP", permanent.LATTICE_CAP)
+    monkeypatch.setenv("EGPERM_LATTICE_CAP", "5")
+    code, _, _ = run(capsys, "compute", "--graph", "catalog:P_1_1",
+                     "--bound", "7")
+    assert code == 0
+    assert permanent.LATTICE_CAP == 5
+    # the cap bounds the direct oracle's lattice
+    code, _, err = run(capsys, "compute", "--graph", "catalog:P_1_1",
+                       "--bound", "7", "--algorithm", "direct")
+    assert code == 2
+    assert "exceeds cap 5" in err
+
+
+def test_bad_env_override_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(permanent, "LATTICE_CAP", permanent.LATTICE_CAP)
+    monkeypatch.setenv("EGPERM_LATTICE_CAP", "abc")
+    code, out, err = run(capsys, "compute", "--graph", "catalog:P_1_1",
                          "--bound", "7")
-        assert code == 0
-        assert permanent.RYSER_CAP == 5
-    finally:
-        permanent.RYSER_CAP = old
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "EGPERM_LATTICE_CAP" in lines[0]

@@ -4,6 +4,7 @@ from egperm.graphs import (
 )
 from egperm.numtheory import admissible_primes
 from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
+from egperm.sequences import egp
 
 
 def _agree(g, bound=13):
@@ -37,6 +38,31 @@ def test_agreement_multigraph():
     # doubled triangle: calV = 3, calE = 1
     g = build_graph([(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)], 3, 0)
     _agree(g, bound=19)
+
+
+def test_agreement_loops_every_special_vertex():
+    # a loop nets to a zero column of the incidence matrix, so every
+    # algorithm must see a vanishing permanent wherever the loop sits
+    graphs = (
+        build_graph([(0, 1), (1, 2), (0, 2), (1, 1)], 3, 0),
+        build_graph([(0, 1), (0, 1), (0, 0)], 2, 0),
+        build_graph([(0, 1), (0, 1), (1, 2), (2, 0), (2, 2), (1, 3), (3, 2)], 4, 0),
+    )
+    for g in graphs:
+        for s in range(g.vertex_count):
+            _agree(g.with_special(s))
+    triangle_loop = build_graph([(0, 1), (1, 2), (0, 2), (1, 1)], 3, 0)
+    residues = [gperm_cofactor(triangle_loop, p) for p in (3, 5, 7, 11, 13)]
+    assert residues == [0, 0, 0, 0, 0]
+
+
+def test_auto_on_loop_graph():
+    # the default path sees the loop's zero column too
+    g = build_graph(wheel(4).edges + ((1, 1),), 5, 4)
+    seq = egp(g, 41, algorithm="auto")
+    assert seq.primes() == [19, 37]
+    assert seq.residues() == [0, 0]
+    assert seq.residues() == egp(g, 41, algorithm="reduced").residues()
 
 
 def test_state_weights():
