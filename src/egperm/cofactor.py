@@ -2,29 +2,50 @@
 
 The block permanent of an incidence-type matrix is encoded as a weighted
 (hyper)graph: vertex weights count row copies, edge weights count column
-copies.  Cofactor expansion becomes two local rules:
+copies.  Expanding all rows of a vertex v of weight W over its incident
+edges, of remaining weights cap_1..cap_d and matrix entries m_1..m_d,
+gives ``sum over k_1+..+k_d = W of W! * prod C(cap_j, k_j) m_j^{k_j}``,
+after which v is gone and every cap_j drops by k_j.  Expanding every
+vertex in turn gives the permanent, whatever the order of the vertices;
+the order only sets the cost.
 
-* vertex rule -- expanding all rows of a vertex v of weight w_v over its
-  live incident edges (weights w_1..w_d, matrix entries m_1..m_d) gives
-  ``sum over k_1+..+k_d = w_v of w_v! * prod C(w_j,k_j) m_j^{k_j}``,
-  after which v is dead and edge weights drop by k_j;
-* edge rule -- an edge whose only live endpoint is u (weight x, edge
-  weight w, entry m) contributes ``x!/(x-w)! * m^w`` and dies.
+The engine is a forward transfer DP over one fixed vertex order.  An edge
+is carried in the *frontier* from its first live incidence in the order
+to its last, so hyperedges work as well as edges.  A DP state is the
+tuple of the remaining weights of the frontier edges, mapped to its
+coefficient mod p, and only two layers of states are alive at a time.
+At its last live incidence an edge is forced: that vertex takes all of
+its remaining weight, and spreads the rest of its own weight over its
+other edges.  An edge of positive weight with no live incidence (a loop,
+or an edge into the special vertex only) is a column no row can cover,
+so the permanent vanishes.
 
-Forced moves (edge rule, degree-one vertex rule, zero-weight clean-up)
-are applied to exhaustion before branching on a vertex, and intermediate
-states are memoized, which keeps the recursion near the size of the
-equivalent nested binomial sum.
+The order is planned from the incidence structure alone, which is the
+same at every admissible prime, so it is computed once per graph and
+reused at every prime.  From every start vertex a greedy search adds the
+vertex that widens the frontier least (ties to the lower vertex index);
+of these orders the one of least ``(max width, widths sorted
+descending)`` is kept, where a width is the frontier size after a
+vertex.  The search is polynomial, so large graphs plan too.  Set the
+``egperm`` logger to DEBUG to see the order, its largest width and the DP
+states and seconds of every (graph, prime).
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from .graphs import OrientedGraph, block_spec
-from .numtheory import mod_tables
+from .numtheory import ModTables, mod_tables
 
 __all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor"]
+
+_log = logging.getLogger("egperm")
 
 
 @dataclass(frozen=True)
@@ -66,146 +87,167 @@ def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
     )
 
 
-def _compositions(total: int, caps: list[int]):
-    """Yield tuples k with sum(k) == total and 0 <= k_i <= caps[i]."""
-    if len(caps) == 1:
-        if 0 <= total <= caps[0]:
-            yield (total,)
-        return
-    head = caps[0]
-    lo = max(0, total - sum(caps[1:]))
-    for k in range(lo, min(head, total) + 1):
-        for rest in _compositions(total - k, caps[1:]):
-            yield (k,) + rest
+def _picker(idx: list[int]) -> Callable[[tuple], tuple]:
+    """Function taking the items at positions ``idx`` of a tuple, as a tuple."""
+    if not idx:
+        return lambda t: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return itemgetter(*idx)
 
 
-class _Engine:
-    def __init__(self, state: WeightedState):
-        self.p = state.modulus
-        self.tb = mod_tables(self.p)
-        self.inc = state.incidences
-        ne = len(state.incidences)
-        nv = len(state.vertex_weights)
-        self.vertex_edges = [[] for _ in range(nv)]
-        for e in range(ne):
-            for v, _ in self.inc[e]:
-                self.vertex_edges[v].append(e)
-        self.memo: dict[tuple, int] = {}
-        # the special vertex arrives with weight 0 and no rows: mark dead
-        self.start_v = list(state.vertex_weights)
-        self.start_e = list(state.edge_weights)
+@dataclass(frozen=True)
+class _Step:
+    """Expansion of one vertex: where its caps sit in the incoming state."""
 
-    def entry(self, e: int, v: int) -> int:
-        for u, m in self.inc[e]:
-            if u == v:
-                return m
-        raise KeyError((e, v))
+    vertex: int
+    entering: tuple[int, ...]        # edges whose first live incidence is here
+    caps: Callable[[tuple], tuple]   # forced then free caps of state + entering
+    forced: int                      # how many of the caps are forced
+    entries: tuple[int, ...]         # matrix entries of those edges at vertex
+    keep: Callable[[tuple], tuple]   # frontier caps that pass the vertex
 
-    def run(self) -> int:
-        vw = list(self.start_v)
-        ew = list(self.start_e)
-        # vertices with weight 0 contribute no rows; kill them up front
-        for v in range(len(vw)):
-            if vw[v] == 0:
-                vw[v] = -1
-        return self.solve(vw, ew)
 
-    def solve(self, vw: list[int], ew: list[int]) -> int:
-        p = self.p
-        factor = 1
-        changed = True
-        while changed:
-            changed = False
-            # edge rule and dead-edge clean-up
-            for e in range(len(ew)):
-                if ew[e] < 0:
-                    continue
-                live = [(v, m) for v, m in self.inc[e] if vw[v] >= 0]
-                if len(live) >= 2:
-                    continue
-                w = ew[e]
-                if not live:
-                    if w > 0:
-                        return 0
-                    ew[e] = -1
-                    changed = True
-                    continue
-                (u, m) = live[0]
-                if w > vw[u]:
-                    return 0
-                if w:
-                    factor = factor * self.tb.falling(vw[u], w) % p
-                    if m < 0 and w % 2:
-                        factor = p - factor
-                    vw[u] -= w
-                ew[e] = -1
-                changed = True
-            # vertex clean-up and forced degree-one expansions
-            for v in range(len(vw)):
-                if vw[v] < 0:
-                    continue
-                live_edges = [e for e in self.vertex_edges[v] if ew[e] >= 0]
-                if not live_edges:
-                    if vw[v] > 0:
-                        return 0
-                    vw[v] = -1
-                    changed = True
-                elif len(live_edges) == 1:
-                    e = live_edges[0]
-                    k = vw[v]
-                    if k > ew[e]:
-                        return 0
-                    if k:
-                        factor = factor * self.tb.fact[k] % p * self.tb.binom(ew[e], k) % p
-                        if self.entry(e, v) < 0 and k % 2:
-                            factor = p - factor
-                        ew[e] -= k
-                    vw[v] = -1
-                    changed = True
-        if factor == 0:
+@dataclass(frozen=True)
+class _Plan:
+    order: tuple[int, ...]
+    widths: tuple[int, ...]          # frontier width after each vertex
+    steps: tuple[_Step, ...]
+
+
+def _greedy(start: int, vertices: tuple[int, ...], edges_at: dict[int, list[int]],
+            ends: dict[int, dict[int, int]]) -> tuple[list[int], list[int]]:
+    """Order from ``start`` that always adds the vertex widening the frontier least."""
+    left = {e: len(at) for e, at in ends.items()}   # incidences not yet expanded
+
+    def growth(e: int) -> int:
+        # frontier change if one more incidence of e is expanded
+        if len(ends[e]) == 1:
             return 0
-        live = [v for v in range(len(vw)) if vw[v] >= 0]
-        if not live:
-            return factor
-        key = (tuple(vw), tuple(ew))
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.branch(vw, ew)
-            self.memo[key] = cached
-        return factor * cached % p
+        return 1 if left[e] == len(ends[e]) else -1 if left[e] == 1 else 0
 
-    def branch(self, vw: list[int], ew: list[int]) -> int:
-        p = self.p
-        # branch on a live vertex of minimal live degree (fewest free parts)
-        best, best_edges = None, None
-        for v in range(len(vw)):
-            if vw[v] < 0:
-                continue
-            live_edges = [e for e in self.vertex_edges[v] if ew[e] >= 0]
-            if best is None or len(live_edges) < len(best_edges):
-                best, best_edges = v, live_edges
-        v, edges = best, best_edges
-        caps = [ew[e] for e in edges]
-        entries = [self.entry(e, v) for e in edges]
-        wv = vw[v]
-        total = 0
-        base = self.tb.fact[wv]
-        for ks in _compositions(wv, caps):
-            coeff = base
-            for e, k, cap, m in zip(edges, ks, caps, entries):
-                coeff = coeff * self.tb.binom(cap, k) % p
-                if m < 0 and k % 2:
-                    coeff = p - coeff
-            if coeff == 0:
-                continue
-            vw2 = list(vw)
-            ew2 = list(ew)
-            vw2[v] = -1
-            for e, k in zip(edges, ks):
-                ew2[e] -= k
-            sub = self.solve(vw2, ew2)
-            total = (total + coeff * sub) % p
-        return total
+    delta = {v: sum(growth(e) for e in edges_at[v]) for v in vertices}
+    order, widths, width, v = [], [], 0, start
+    while True:
+        del delta[v]
+        order.append(v)
+        for e in edges_at[v]:
+            others = [u for u in ends[e] if u in delta]
+            for u in others:
+                delta[u] -= growth(e)
+            width += growth(e)
+            left[e] -= 1
+            for u in others:
+                delta[u] += growth(e)
+        widths.append(width)
+        if not delta:
+            return order, widths
+        v = min(delta, key=lambda u: (delta[u], u))
+
+
+@lru_cache(maxsize=16)
+def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
+          vertices: tuple[int, ...], edges: tuple[int, ...]) -> _Plan | None:
+    """Vertex order and DP steps for the live ``vertices`` and ``edges``.
+
+    None when a live edge has no live incidence: the permanent is zero.
+    """
+    live = set(vertices)
+    ends = {e: {v: m for v, m in incidences[e] if v in live} for e in edges}
+    if not all(ends.values()):
+        return None
+    edges_at: dict[int, list[int]] = {v: [] for v in vertices}
+    for e, at in ends.items():
+        for v in at:
+            edges_at[v].append(e)
+    tries = [_greedy(v, vertices, edges_at, ends) for v in vertices]
+    order, _ = min(tries, key=lambda t: (max(t[1]), sorted(t[1], reverse=True)))
+    position = {v: i for i, v in enumerate(order)}
+    last = {e: max(position[v] for v in at) for e, at in ends.items()}
+    frontier: list[int] = []
+    steps, widths = [], []
+    for i, v in enumerate(order):
+        here = edges_at[v]
+        entering = tuple(e for e in here if e not in frontier)
+        forced = [e for e in here if last[e] == i]
+        free = [e for e in here if last[e] > i]
+        ext = frontier + list(entering)
+        keep = [j for j, e in enumerate(frontier) if e not in here]
+        steps.append(_Step(
+            vertex=v,
+            entering=entering,
+            caps=_picker([ext.index(e) for e in forced + free]),
+            forced=len(forced),
+            entries=tuple(ends[e][v] for e in forced + free),
+            keep=_picker(keep),
+        ))
+        frontier = [frontier[j] for j in keep] + free
+        widths.append(len(frontier))
+    return _Plan(tuple(order), tuple(widths), tuple(steps))
+
+
+def _moves(w: int, caps: tuple[int, ...], forced: int, entries: tuple[int, ...],
+           tb: ModTables) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(remaining free caps, coefficient) for each way a vertex of weight w expands."""
+    p = tb.p
+    need = w - sum(caps[:forced])
+    room = sum(caps[forced:])
+    if need < 0 or need > room:
+        return ()
+    coeff = tb.fact[w]
+    for cap, m in zip(caps[:forced], entries):
+        coeff = coeff * pow(m, cap, p) % p
+    partial = [((), need, coeff)]
+    for cap, m in zip(caps[forced:], entries[forced:]):
+        room -= cap
+        grown = []
+        for rem, left, c in partial:
+            for k in range(max(0, left - room), min(cap, left) + 1):
+                ck = c * tb.binom(cap, k) % p * pow(m, k, p) % p
+                if ck:
+                    grown.append((rem + (cap - k,), left - k, ck))
+        partial = grown
+    return tuple((rem, c) for rem, _, c in partial)
+
+
+def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int]:
+    """Residue of the state along the plan, and the number of DP states visited."""
+    p = state.modulus
+    tb = mod_tables(p)
+    layer: dict[tuple[int, ...], int] = {(): 1}
+    visited = 0
+    for step in plan.steps:
+        w = state.vertex_weights[step.vertex]
+        entering = tuple(state.edge_weights[e] for e in step.entering)
+        caps_of, keep_of = step.caps, step.keep
+        moves_by_caps: dict[tuple[int, ...], tuple] = {}
+        nxt: dict[tuple[int, ...], int] = {}
+        for frontier, coeff in layer.items():
+            caps = caps_of(frontier + entering)
+            moves = moves_by_caps.get(caps)
+            if moves is None:
+                moves = moves_by_caps[caps] = _moves(w, caps, step.forced,
+                                                     step.entries, tb)
+            if moves:
+                kept = keep_of(frontier)
+                for rem, c in moves:
+                    key = kept + rem
+                    nxt[key] = nxt.get(key, 0) + coeff * c
+        layer = nxt
+        zero = []
+        for key, coeff in layer.items():
+            coeff %= p
+            if coeff:
+                layer[key] = coeff
+            else:
+                zero.append(key)
+        for key in zero:
+            del layer[key]
+        visited += len(layer)
+        if not layer:
+            return 0, visited
+    return layer.get((), 0), visited
 
 
 def cofactor_calculus(state: WeightedState) -> int:
@@ -214,7 +256,23 @@ def cofactor_calculus(state: WeightedState) -> int:
     live_e = sum(w for w in state.edge_weights if w > 0)
     if live_v != live_e:
         raise ValueError("state is not square: vertex and edge weights differ")
-    return _Engine(state).run()
+    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
+        return 0  # w identical rows or columns: w! divides the permanent
+    debug = _log.isEnabledFor(logging.DEBUG)
+    start = time.perf_counter() if debug else 0.0
+    plan = _plan(state.incidences,
+                 tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
+                 tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
+    if plan is None:
+        return 0
+    residue, visited = _transfer(state, plan)
+    if debug:
+        _log.debug("cofactor: %d vertices, %d edges, p=%d: order %s, max width %d, "
+                   "%d states, %.4f s", len(state.vertex_weights),
+                   len(state.edge_weights), state.modulus, list(plan.order),
+                   max(plan.widths, default=0), visited,
+                   time.perf_counter() - start)
+    return residue
 
 
 def gperm_cofactor(g: OrientedGraph, p: int) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numtheory import mod_tables
+from .numtheory import admissible_n, mod_tables
 
 __all__ = ["LinForm", "BinomFactor", "BinomialSumExpr", "parse_expr", "format_expr", "eval_expr"]
 
@@ -247,11 +247,9 @@ def _eval_linform(lf: LinForm, n: int, grids: dict[str, np.ndarray]):
 
 def eval_expr(e: BinomialSumExpr, p: int) -> int:
     """Residue of the closed form at prime p = calV*n + 1."""
-    if (p - 1) % e.calV != 0 or p <= e.calV:
-        raise ValueError(f"prime {p} not admissible for calV={e.calV}")
+    n = admissible_n(e.calV, p)
     if len(e.variables) > MAX_VARS:
         raise ValueError(f"too many summation variables ({len(e.variables)} > {MAX_VARS})")
-    n = (p - 1) // e.calV
     tb = mod_tables(p)
 
     bound = e.range_bound.constant + e.range_bound.n_coeff * n

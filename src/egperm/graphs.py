@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .numtheory import admissible_n
+
 __all__ = [
     "OrientedGraph",
     "BlockSpec",
@@ -114,9 +116,7 @@ class BlockSpec:
 
     def admissible_n(self, p: int) -> int:
         """The n with ``p = n*calV + 1``; ValueError if p is not admissible."""
-        if (p - 1) % self.calV != 0 or p <= self.calV:
-            raise ValueError(f"prime {p} is not admissible for calV={self.calV}")
-        return (p - 1) // self.calV
+        return admissible_n(self.calV, p)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,21 @@ __all__ = [
     "is_prime",
     "primes_upto",
     "admissible_primes",
+    "admissible_n",
+    "check_bound",
     "ModTables",
 ]
+
+# largest prime bound of a graph-permanent sequence: each residue costs a
+# polynomial in p whose degree grows with the graph, so a larger bound
+# cannot finish; closed forms and point counts, linear in p, are not capped
+BOUND_CAP = 10_000
+
+
+def check_bound(bound: int) -> None:
+    """ValueError if ``bound`` exceeds ``BOUND_CAP``."""
+    if bound > BOUND_CAP:
+        raise ValueError(f"prime bound {bound} exceeds the limit {BOUND_CAP}")
 
 
 def is_prime(n: int) -> bool:
@@ -43,6 +56,13 @@ def primes_upto(bound: int) -> list[int]:
 def admissible_primes(calV: int, bound: int) -> list[int]:
     """Primes p <= bound of the form p = n*calV + 1 with n >= 1."""
     return [p for p in primes_upto(bound) if p > calV and (p - 1) % calV == 0]
+
+
+def admissible_n(calV: int, p: int) -> int:
+    """The n with ``p = n*calV + 1``; ValueError if p is not admissible."""
+    if (p - 1) % calV != 0 or p <= calV:
+        raise ValueError(f"prime {p} is not admissible for calV={calV}")
+    return (p - 1) // calV
 
 
 class ModTables:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .cofactor import gperm_cofactor
 from .graphs import OrientedGraph, block_spec
-from .numtheory import admissible_primes, mod_tables
+from .numtheory import admissible_primes, check_bound, mod_tables
 from .permanent import gperm_direct, gperm_reduced
 
 __all__ = [
@@ -79,6 +79,7 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_bound(bound)
     spec = block_spec(g)
     primes = admissible_primes(spec.calV, bound)
     if not primes:

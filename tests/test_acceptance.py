@@ -94,7 +94,7 @@ def test_criterion_2_completed_expression_values():
 
 
 def test_criterion_3_closed_form_equivalence():
-    for w in (3, 4, 5):
+    for w in (3, 4, 5, 16, 30):
         row = {p: closed_form_wheel(w, p) for p in (3, 5, 7, 11, 13)}
         assert sequences_equal(sequence_from_row("wheel", 2, 1, row),
                                egp(wheel(w), 13)), w

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import egperm.numtheory as numtheory
 import egperm.permanent as permanent
 from egperm.cli import main
 from egperm.catalog import get_entry
@@ -117,3 +118,29 @@ def test_bad_env_override_exits_2(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "EGPERM_LATTICE_CAP" in lines[0]
+
+
+def test_absurd_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(numtheory, "BOUND_CAP", 50)
+    code, out, err = run(capsys, "compute", "--graph", "catalog:P_1_1",
+                         "--bound", "60")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "60" in err and "50" in err
+    code, _, _ = run(capsys, "compute", "--graph", "catalog:P_1_1",
+                     "--bound", "50")
+    assert code == 0
+
+
+def test_bound_cap_spares_cheap_commands(capsys, monkeypatch):
+    # closed forms and point counts are linear in p and not capped
+    monkeypatch.setattr(numtheory, "BOUND_CAP", 50)
+    code, out, _ = run(capsys, "closed-form", "--family", "wheel",
+                       "--size", "4", "--bound", "60", "--json")
+    assert code == 0
+    assert json.loads(out)["primes"][-1] == 59
+    code, out, _ = run(capsys, "pointcount", "--graph", "catalog:P_1_1",
+                       "-p", "53")
+    assert code == 0
+    assert json.loads(out)["count_ok"]

@@ -1,9 +1,18 @@
-from egperm.cofactor import gperm_cofactor, state_from_graph
+import logging
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from egperm.cofactor import (
+    WeightedState, cofactor_calculus, gperm_cofactor, state_from_graph,
+)
 from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
 )
 from egperm.numtheory import admissible_primes
-from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
+from egperm.permanent import (
+    DimensionCapError, gperm_direct, gperm_reduced, perm_leibniz,
+)
 from egperm.sequences import egp
 
 
@@ -71,3 +80,69 @@ def test_state_weights():
     assert st.modulus == 5
     assert sorted(st.vertex_weights) == [0, 4, 4, 4]
     assert st.edge_weights == (2,) * 6
+
+
+@st.composite
+def multigraphs(draw):
+    # parallel edges and disconnected graphs come up, a loop in a quarter of
+    # the draws; half the draws start from a spanning tree, so that many
+    # residues do not vanish
+    nv = draw(st.integers(2, 6))
+    vertex = st.integers(0, nv - 1)
+    edges = []
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                           min_size=1, max_size=5))
+    if draw(st.integers(0, 3)) == 0:
+        edges.append((draw(vertex),) * 2)
+    return build_graph(edges, nv, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_agreement_random_multigraphs(g):
+    # reduced refuses a disconnected graph; egp reports zeros for one
+    for s in range(g.vertex_count):
+        h = g.with_special(s)
+        for p in admissible_primes(block_spec(h).calV, 13):
+            want = gperm_reduced(h, p) if h.is_connected() else 0
+            assert gperm_cofactor(h, p) == want, (h, p)
+
+
+def test_weight_beyond_modulus_vanishes():
+    # one edge on three vertices: calE = 2, so at p = 3 its 4 copies exceed
+    # p - 1, and 4! divides the permanent
+    g = build_graph([(1, 2)], 3, 0)
+    assert state_from_graph(g, 3).edge_weights == (4,)
+    assert [gperm_cofactor(g, p) for p in (2, 3, 5, 7)] == [0, 0, 0, 0]
+
+
+def test_hyperedge_against_leibniz():
+    # edge 0 meets all three vertices; rows are vertex copies, columns edge copies
+    state = WeightedState(
+        vertex_weights=(2, 1, 2),
+        edge_weights=(2, 2, 1),
+        incidences=(((0, 1), (1, -1), (2, 2)), ((0, 1), (2, 3)), ((1, 1), (2, -1))),
+        modulus=7,
+    )
+    rows = [v for v, w in enumerate(state.vertex_weights) for _ in range(w)]
+    cols = [e for e, w in enumerate(state.edge_weights) for _ in range(w)]
+    entries = [dict(inc) for inc in state.incidences]
+    matrix = [[entries[e].get(v, 0) for e in cols] for v in rows]
+    want = perm_leibniz(matrix) % 7
+    assert want != 0
+    assert cofactor_calculus(state) == want
+
+
+def test_plan_logged_at_debug(caplog):
+    g = zigzag(5)
+    with caplog.at_level(logging.INFO, logger="egperm"):
+        gperm_cofactor(g, 7)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="egperm"):
+        gperm_cofactor(g, 7)
+    (record,) = caplog.records
+    text = record.getMessage()
+    assert "p=7" in text and "order" in text and "max width" in text
+    assert "states" in text
