@@ -23,12 +23,22 @@ so the permanent vanishes.
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
 reused at every prime.  From every start vertex a greedy search adds the
-vertex that widens the frontier least (ties to the lower vertex index);
-of these orders the one of least ``(max width, widths sorted
-descending)`` is kept, where a width is the frontier size after a
-vertex.  The search is polynomial, so large graphs plan too.  Set the
-``egperm`` logger to DEBUG to see the order, its largest width and the DP
-states and seconds of every (graph, prime).
+vertex that widens the frontier least (ties to the lower vertex index).
+Each step of an order is costed by the frontier width entering its vertex
+plus the vertex's free edges (those still live after it): the DP pairs
+every incoming state with every way to spread the vertex's weight, and
+that number is exponential in this sum.  Of these orders the one whose
+step costs, sorted descending, are least is kept; ties go to the least
+``(max width, widths sorted descending)``, where a width is the frontier
+size after a vertex.  The search is polynomial, so large graphs plan too.
+
+The residue does not depend on which vertex is special, so
+``cheapest_special`` ranks the candidate special vertices by the same
+cost key, with one greedy walk each, and ``sequences.egp`` computes every
+prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
+logger to DEBUG to see the chosen special vertex of every sequence, and
+the order, its largest width and the DP states and seconds of every
+(graph, prime).
 """
 
 from __future__ import annotations
@@ -38,12 +48,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .graphs import OrientedGraph, block_spec
 from .numtheory import ModTables, mod_tables
 
-__all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor"]
+__all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor",
+           "cheapest_special"]
 
 _log = logging.getLogger("egperm")
 
@@ -64,10 +75,8 @@ class WeightedState:
     modulus: int
 
 
-def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
-    """Initial state for GPerm at prime p: vertices weigh n*calV, edges n*calE."""
-    spec = block_spec(g)
-    n = spec.admissible_n(p)
+def _incidences(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(vertex, entry) pairs of each edge at the vertices other than the special one."""
     inc = []
     for t, h in g.edges:
         pairs = []
@@ -77,12 +86,19 @@ def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
             if t != g.special_vertex:
                 pairs.append((t, -1))
         inc.append(tuple(pairs))
+    return tuple(inc)
+
+
+def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
+    """Initial state for GPerm at prime p: vertices weigh n*calV, edges n*calE."""
+    spec = block_spec(g)
+    n = spec.admissible_n(p)
     vweights = tuple(0 if v == g.special_vertex else n * spec.calV
                      for v in range(g.vertex_count))
     return WeightedState(
         vertex_weights=vweights,
         edge_weights=tuple(n * spec.calE for _ in g.edges),
-        incidences=tuple(inc),
+        incidences=_incidences(g),
         modulus=p,
     )
 
@@ -116,9 +132,28 @@ class _Plan:
     steps: tuple[_Step, ...]
 
 
-def _greedy(start: int, vertices: tuple[int, ...], edges_at: dict[int, list[int]],
-            ends: dict[int, dict[int, int]]) -> tuple[list[int], list[int]]:
-    """Order from ``start`` that always adds the vertex widening the frontier least."""
+def _structure(incidences: tuple[tuple[tuple[int, int], ...], ...],
+               vertices: tuple[int, ...], edges: Iterable[int]
+               ) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
+    """Live incidences ``{edge: {vertex: entry}}`` and the live edges at each vertex."""
+    live = set(vertices)
+    ends = {e: {v: m for v, m in incidences[e] if v in live} for e in edges}
+    edges_at: dict[int, list[int]] = {v: [] for v in vertices}
+    for e, at in ends.items():
+        for v in at:
+            edges_at[v].append(e)
+    return ends, edges_at
+
+
+def _greedy(start: int | None, vertices: tuple[int, ...], edges_at: dict[int, list[int]],
+            ends: dict[int, dict[int, int]]) -> tuple[list[int], tuple]:
+    """Order that always adds the vertex widening the frontier least, and its cost key.
+
+    The order starts at ``start``, or when that is None at the vertex that
+    widens the frontier least.  The key is the step costs (width entering a
+    vertex plus its free edges) sorted descending, then the largest width,
+    then the widths sorted descending.
+    """
     left = {e: len(at) for e, at in ends.items()}   # incidences not yet expanded
 
     def growth(e: int) -> int:
@@ -128,22 +163,27 @@ def _greedy(start: int, vertices: tuple[int, ...], edges_at: dict[int, list[int]
         return 1 if left[e] == len(ends[e]) else -1 if left[e] == 1 else 0
 
     delta = {v: sum(growth(e) for e in edges_at[v]) for v in vertices}
-    order, widths, width, v = [], [], 0, start
-    while True:
+    order, costs, widths, width, v = [], [], [], 0, start
+    while delta:
+        if v is None:
+            v = min(delta, key=lambda u: (delta[u], u))
         del delta[v]
         order.append(v)
+        cost = width
         for e in edges_at[v]:
             others = [u for u in ends[e] if u in delta]
             for u in others:
                 delta[u] -= growth(e)
             width += growth(e)
             left[e] -= 1
+            cost += left[e] > 0
             for u in others:
                 delta[u] += growth(e)
+        costs.append(cost)
         widths.append(width)
-        if not delta:
-            return order, widths
-        v = min(delta, key=lambda u: (delta[u], u))
+        v = None
+    return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
+                   tuple(sorted(widths, reverse=True)))
 
 
 @lru_cache(maxsize=16)
@@ -153,16 +193,11 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
 
     None when a live edge has no live incidence: the permanent is zero.
     """
-    live = set(vertices)
-    ends = {e: {v: m for v, m in incidences[e] if v in live} for e in edges}
+    ends, edges_at = _structure(incidences, vertices, edges)
     if not all(ends.values()):
         return None
-    edges_at: dict[int, list[int]] = {v: [] for v in vertices}
-    for e, at in ends.items():
-        for v in at:
-            edges_at[v].append(e)
     tries = [_greedy(v, vertices, edges_at, ends) for v in vertices]
-    order, _ = min(tries, key=lambda t: (max(t[1]), sorted(t[1], reverse=True)))
+    order, _ = min(tries, key=itemgetter(1), default=((), None))
     position = {v: i for i, v in enumerate(order)}
     last = {e: max(position[v] for v in at) for e, at in ends.items()}
     frontier: list[int] = []
@@ -267,8 +302,10 @@ def cofactor_calculus(state: WeightedState) -> int:
         return 0
     residue, visited = _transfer(state, plan)
     if debug:
-        _log.debug("cofactor: %d vertices, %d edges, p=%d: order %s, max width %d, "
-                   "%d states, %.4f s", len(state.vertex_weights),
+        dead = [v for v, w in enumerate(state.vertex_weights) if w <= 0]
+        _log.debug("cofactor: %d vertices, special %s, %d edges, p=%d: order %s, "
+                   "max width %d, %d states, %.4f s", len(state.vertex_weights),
+                   ",".join(map(str, dead)) or "none",
                    len(state.edge_weights), state.modulus, list(plan.order),
                    max(plan.widths, default=0), visited,
                    time.perf_counter() - start)
@@ -278,3 +315,22 @@ def cofactor_calculus(state: WeightedState) -> int:
 def gperm_cofactor(g: OrientedGraph, p: int) -> int:
     """Graph permanent at p via the weighted-graph cofactor calculus."""
     return cofactor_calculus(state_from_graph(g, p))
+
+
+def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
+    """Special vertex of g with the cheapest planned order, and that order's cost key.
+
+    The residue is the same at every special vertex, so this only chooses
+    the cost: each candidate gets one greedy walk over the other vertices
+    from the vertex that widens the frontier least, and the least cost key
+    wins, ties to the lower vertex index.
+    """
+    best = None
+    for s in range(g.vertex_count):
+        vertices = tuple(v for v in range(g.vertex_count) if v != s)
+        ends, edges_at = _structure(_incidences(g.with_special(s)), vertices,
+                                    range(g.edge_count))
+        _, key = _greedy(None, vertices, edges_at, ends)
+        if best is None or key < best[1]:
+            best = (s, key)
+    return best

@@ -1,27 +1,21 @@
 """Permanent computation kernels.
 
-Three tiers:
-
-* ``perm_leibniz`` -- definition sum over the symmetric group (test oracle);
-* ``perm_exact`` / ``perm_mod`` -- Ryser inclusion-exclusion with Gray-code
-  row-sum updates, for explicit square matrices;
-* ``block_perm_exact`` / ``block_perm_mod`` -- Ryser specialised to block
-  matrices ``1_{a x b} (x) B`` without materialising them.  Repeated columns
-  collapse subsets into multiplicity vectors, so the cost is
-  ``(b+1)^cols(B)`` instead of ``2^(b*cols(B))``.
+``block_perm_exact`` / ``block_perm_mod`` are Ryser's formula specialised to
+block matrices ``1_{a x b} (x) B`` without materialising them.  Repeated
+columns collapse subsets into multiplicity vectors, so the cost is
+``(b+1)^cols(B)`` instead of ``2^(b*cols(B))``.
 
 On top of these sit the graph permanents ``gperm_direct`` and
 ``gperm_reduced`` and the unimodular row reduction used by the latter.
 Everything here is a cross-check oracle: the production path (``auto``)
 is the cofactor calculus in ``cofactor.gperm_cofactor``.  ``LATTICE_CAP``
-bounds the block Ryser behind ``direct`` and ``reduced``; ``RYSER_CAP``
-guards the Gray-code Ryser.
+bounds the block Ryser behind ``direct`` and ``reduced``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -31,9 +25,6 @@ from .numtheory import mod_tables
 __all__ = [
     "DimensionCapError",
     "RankDeficiencyError",
-    "perm_leibniz",
-    "perm_exact",
-    "perm_mod",
     "block_perm_exact",
     "block_perm_mod",
     "blockwise_row_reduce",
@@ -41,7 +32,6 @@ __all__ = [
     "gperm_reduced",
 ]
 
-RYSER_CAP = 28          # max columns for the subset-walk Ryser
 LATTICE_CAP = 40_000_000  # max lattice points for the block Ryser
 
 
@@ -51,68 +41,6 @@ class DimensionCapError(ValueError):
 
 class RankDeficiencyError(ValueError):
     """Matrix has deficient row rank (disconnected graph)."""
-
-
-def perm_leibniz(m) -> int:
-    """Permanent by the definition sum; only for tiny matrices."""
-    a = np.asarray(m, dtype=object)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    total = 0
-    for sigma in permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= a[i, sigma[i]]
-            if prod == 0:
-                break
-        total += prod
-    return int(total)
-
-
-def _ryser(m, mod: int | None) -> int:
-    a = np.asarray(m, dtype=np.int64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
-        return 1 % mod if mod else 1
-    if n > RYSER_CAP:
-        raise DimensionCapError(f"Ryser cap is {RYSER_CAP} columns, got {n}")
-    rows = [[int(x) for x in row] for row in a]
-    sums = [0] * n
-    total = 0
-    prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        diff = gray ^ prev
-        j = diff.bit_length() - 1
-        sgn = 1 if gray & diff else -1
-        for i in range(n):
-            sums[i] += sgn * rows[i][j]
-        prev = gray
-        prod = 1
-        for s in sums:
-            prod *= s
-            if prod == 0:
-                break
-            if mod:
-                prod %= mod
-        if prod:
-            total += prod if gray.bit_count() % 2 == n % 2 else -prod
-            if mod:
-                total %= mod
-    return total % mod if mod else total
-
-
-def perm_exact(m) -> int:
-    """Exact integer permanent via Gray-code Ryser (dimension <= 28)."""
-    return _ryser(m, None)
-
-
-def perm_mod(m, p: int) -> int:
-    """Permanent residue mod p via Gray-code Ryser."""
-    return _ryser(m, p)
 
 
 def _check_block_square(base: np.ndarray, a: int, b: int) -> tuple[int, int]:
@@ -173,6 +101,8 @@ def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
     if c == 0:
         return 1 % p
     a, b = row_reps, col_reps
+    if max(a, b) >= p:
+        return 0  # a or b identical rows or columns: a! or b! divides it
     if (b + 1) ** c > LATTICE_CAP:
         raise DimensionCapError(
             f"block Ryser lattice (b+1)^c = {b + 1}^{c} exceeds cap {LATTICE_CAP}")

@@ -10,9 +10,10 @@ nonzero variate residue r satisfies ``r <= p - r``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
-from .cofactor import gperm_cofactor
+from .cofactor import cheapest_special, gperm_cofactor
 from .graphs import OrientedGraph, block_spec
 from .numtheory import admissible_primes, check_bound, mod_tables
 from .permanent import gperm_direct, gperm_reduced
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("direct", "reduced", "cofactor", "auto")
+
+_log = logging.getLogger("egperm")
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ def _variate(n: int, calE: int) -> bool:
 
 
 def _one_prime(g: OrientedGraph, p: int, algorithm: str) -> int:
-    # direct and reduced are the cross-check oracles; auto is cofactor
+    # direct and reduced are the cross-check oracles; auto is cofactor at
+    # the special vertex egp chose
     if algorithm == "direct":
         return gperm_direct(g, p)
     if algorithm == "reduced":
@@ -76,23 +80,31 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
     residue to zero; with ``merge_components`` the components are instead
     glued by identifying one vertex of each with the special vertex,
     which matches the cut-vertex interpretation of disconnectedness.
+    ``auto`` computes every prime at the special vertex of the cheapest
+    cofactor plan: the residue does not depend on that choice, only the
+    cost does.  The other algorithms use the graph's special vertex.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     check_bound(bound)
+    if merge_components and not g.is_connected():
+        g = _merge_components(g)  # fewer vertices: the block sizes change
     spec = block_spec(g)
     primes = admissible_primes(spec.calV, bound)
     if not primes:
         raise ValueError(f"no admissible prime <= {bound} for calV={spec.calV}")
     if not g.is_connected():
-        if merge_components:
-            g = _merge_components(g)
-        else:
-            values = tuple(
-                EgpValue(p, (p - 1) // spec.calV, 0,
-                         _variate((p - 1) // spec.calV, spec.calE))
-                for p in primes)
-            return EgpSequence(graph_id, spec.calV, spec.calE, values)
+        values = tuple(
+            EgpValue(p, (p - 1) // spec.calV, 0,
+                     _variate((p - 1) // spec.calV, spec.calE))
+            for p in primes)
+        return EgpSequence(graph_id, spec.calV, spec.calE, values)
+    if algorithm == "auto":
+        special, cost = cheapest_special(g)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("egp %s: special vertex %d (given %d), cost key %s",
+                       graph_id or "-", special, g.special_vertex, cost)
+        g = g.with_special(special)
     values = []
     for p in primes:
         n = (p - 1) // spec.calV

@@ -1,19 +1,19 @@
 import logging
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egperm.cofactor import (
-    WeightedState, cofactor_calculus, gperm_cofactor, state_from_graph,
+    WeightedState, cheapest_special, cofactor_calculus, gperm_cofactor,
+    state_from_graph,
 )
 from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
 )
 from egperm.numtheory import admissible_primes
-from egperm.permanent import (
-    DimensionCapError, gperm_direct, gperm_reduced, perm_leibniz,
-)
+from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
 from egperm.sequences import egp
+from oracles import perm_leibniz
 
 
 def _agree(g, bound=13):
@@ -145,4 +145,67 @@ def test_plan_logged_at_debug(caplog):
     (record,) = caplog.records
     text = record.getMessage()
     assert "p=7" in text and "order" in text and "max width" in text
-    assert "states" in text
+    assert "states" in text and "special 4" in text
+
+
+def test_special_choice_logged_once_per_sequence(caplog):
+    g = wheel(5, special=0)
+    with caplog.at_level(logging.DEBUG, logger="egperm"):
+        seq = egp(g, 41, graph_id="W5")
+    lines = [r.getMessage() for r in caplog.records]
+    chosen = [t for t in lines if t.startswith("egp W5: special vertex")]
+    assert len(chosen) == 1 and "cost key" in chosen[0]
+    # the hub is the cheapest special vertex: the rim left is a cycle
+    assert "special vertex 5 (given 0)" in chosen[0]
+    per_prime = [t for t in lines if t.startswith("cofactor:")]
+    assert len(per_prime) == len(seq.values)
+    assert all("special 5," in t for t in per_prime)
+
+
+def test_cheapest_special_small_graphs():
+    # one vertex, loops and parallel edges plan without a walk to fail
+    assert cheapest_special(build_graph([], 1, 0))[0] == 0
+    assert cheapest_special(build_graph([(0, 0)], 1, 0))[0] == 0
+    assert cheapest_special(build_graph([(0, 1), (0, 1), (1, 1)], 2, 1))[0] == 0
+    # a triangle with a pendant edge: only its degree-3 vertex as special
+    # leaves no cycle to carry through the frontier
+    g = build_graph([(0, 1), (1, 2), (2, 3), (3, 1)], 4, 2)
+    assert cheapest_special(g) == (1, ((1, 1, 0), 1, (1, 0, 0)))
+    s, (costs, max_width, widths) = cheapest_special(wheel(6, special=2))
+    assert s == 6 and max_width == 2 and costs[0] == 3
+    # no live vertex: an empty matrix, whose permanent is 1
+    assert cofactor_calculus(WeightedState((0,), (), (), 5)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs())
+def test_auto_matches_cofactor_at_every_special_vertex(g):
+    # auto picks its own special vertex; the raw residue may not change
+    assume(g.is_connected() and admissible_primes(block_spec(g).calV, 13))
+    want = egp(g, 13).residues()
+    for s in range(g.vertex_count):
+        assert egp(g.with_special(s), 13, algorithm="cofactor").residues() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_auto_matches_cofactor_after_merge(g):
+    # the merge itself depends on the special vertex, so only the same g
+    assume(not g.is_connected())
+    auto = egp(g, 13, merge_components=True)
+    assert auto.residues() == egp(g, 13, algorithm="cofactor",
+                                   merge_components=True).residues()
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.data())
+def test_reversing_an_edge_scales_by_sign(g, data):
+    assume(admissible_primes(block_spec(g).calV, 13))
+    i = data.draw(st.integers(0, g.edge_count - 1))
+    t, h = g.edges[i]
+    flipped = build_graph(g.edges[:i] + ((h, t),) + g.edges[i + 1:],
+                          g.vertex_count, g.special_vertex)
+    seq = egp(g, 13)
+    for v, r in zip(seq.values, egp(flipped, 13).residues()):
+        sign = -1 if v.n * seq.calE % 2 else 1
+        assert r == sign * v.residue % v.prime, (g, i, v.prime)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import egperm.permanent as permanent
-from egperm.graphs import banana, reduced_incidence, wheel, zigzag
+import oracles
+from egperm.cofactor import gperm_cofactor
+from egperm.graphs import banana, build_graph, reduced_incidence, wheel, zigzag
 from egperm.permanent import (
     DimensionCapError,
     block_perm_exact,
@@ -12,10 +14,8 @@ from egperm.permanent import (
     blockwise_row_reduce,
     gperm_direct,
     gperm_reduced,
-    perm_exact,
-    perm_leibniz,
-    perm_mod,
 )
+from oracles import perm_exact, perm_leibniz, perm_mod
 
 
 def test_known_permanents():
@@ -42,7 +42,7 @@ def test_perm_mod_matches_exact():
 
 def test_ryser_dimension_cap():
     with pytest.raises(DimensionCapError):
-        perm_exact(np.ones((permanent.RYSER_CAP + 1,) * 2, dtype=np.int64))
+        perm_exact(np.ones((oracles.RYSER_CAP + 1,) * 2, dtype=np.int64))
 
 
 def test_block_perm_matches_materialized():
@@ -99,3 +99,11 @@ def test_lattice_cap(monkeypatch):
     monkeypatch.setattr(permanent, "LATTICE_CAP", 10)
     with pytest.raises(DimensionCapError):
         gperm_direct(zigzag(4), 13)
+
+
+def test_repeats_reaching_modulus_vanish():
+    # two edges on four vertices: calE = 3, so at p = 5 each of the 6 column
+    # copies repeats past p - 1, and the permanent is divisible by 6!
+    g = build_graph([(0, 1), (1, 2)], 4, 0)
+    assert gperm_direct(g, 5) == gperm_cofactor(g, 5) == 0
+    assert block_perm_mod(np.ones((1, 1), dtype=np.int64), 5, 5, 5) == 0

@@ -8,13 +8,14 @@ from egperm.graphs import (
     GraphError, banana, block_spec, build_graph, wheel, zigzag,
 )
 from egperm.numtheory import admissible_primes
-from egperm.permanent import gperm_direct, perm_exact
+from egperm.permanent import gperm_direct
 from egperm.pointcount import (
     coefficient_oracle,
     permanent_polynomial,
     point_count,
     reconcile,
 )
+from oracles import perm_exact
 import numpy as np
 
 K4 = zigzag(4)
