@@ -244,6 +244,8 @@ def cmd_closed_form(args) -> int:
         # report under the canonical sign convention
         seq = canonicalize_sign(sequence_from_row(label, calV, 1, vals))
         vals = {v.prime: v.residue for v in seq.values}
+    elif args.name is None:
+        raise ValueError("closed-form needs --family or --name")
     else:
         entry = get_entry(args.name)
         filename = entry.expression_file

@@ -18,27 +18,32 @@ At its last live incidence an edge is forced: that vertex takes all of
 its remaining weight, and spreads the rest of its own weight over its
 other edges.  An edge of positive weight with no live incidence (a loop,
 or an edge into the special vertex only) is a column no row can cover,
-so the permanent vanishes.
+so the permanent vanishes.  The ways to spread depend only on that rest,
+the caps of the free edges and their entries, so each DP keeps one table
+of them, built as the states ask for it and shared by all of its steps.
+Within a step the caps of a state map to the forced factor
+``W! prod m^cap`` and those moves, so a state pays one lookup and one
+multiply.
 
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
-reused at every prime.  From every start vertex a greedy search adds the
-vertex that widens the frontier least (ties to the lower vertex index).
-Each step of an order is costed by the frontier width entering its vertex
-plus the vertex's free edges (those still live after it): the DP pairs
-every incoming state with every way to spread the vertex's weight, and
-that number is exponential in this sum.  Of these orders the one whose
-step costs, sorted descending, are least is kept; ties go to the least
-``(max width, widths sorted descending)``, where a width is the frontier
-size after a vertex.  The search is polynomial, so large graphs plan too.
+reused at every prime.  One greedy walk starts at the vertex that widens
+the frontier least and keeps adding such a vertex (ties to the lower
+vertex index).  Each step of an order is costed by the frontier width
+entering its vertex plus the vertex's free edges (those still live after
+it): the DP pairs every incoming state with every way to spread the
+vertex's weight, and that number is exponential in this sum.  An order's
+cost key is its step costs sorted descending, then ``(max width, widths
+sorted descending)``, where a width is the frontier size after a vertex.
+The walk is polynomial, so large graphs plan too.
 
 The residue does not depend on which vertex is special, so
 ``cheapest_special`` ranks the candidate special vertices by the same
 cost key, with one greedy walk each, and ``sequences.egp`` computes every
 prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
 logger to DEBUG to see the chosen special vertex of every sequence, and
-the order, its largest width and the DP states and seconds of every
-(graph, prime).
+the order, its largest width, the DP states, the move sets built and the
+seconds of every (graph, prime).
 """
 
 from __future__ import annotations
@@ -145,14 +150,13 @@ def _structure(incidences: tuple[tuple[tuple[int, int], ...], ...],
     return ends, edges_at
 
 
-def _greedy(start: int | None, vertices: tuple[int, ...], edges_at: dict[int, list[int]],
+def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
             ends: dict[int, dict[int, int]]) -> tuple[list[int], tuple]:
     """Order that always adds the vertex widening the frontier least, and its cost key.
 
-    The order starts at ``start``, or when that is None at the vertex that
-    widens the frontier least.  The key is the step costs (width entering a
-    vertex plus its free edges) sorted descending, then the largest width,
-    then the widths sorted descending.
+    Ties go to the lower vertex index.  The key is the step costs (width
+    entering a vertex plus its free edges) sorted descending, then the
+    largest width, then the widths sorted descending.
     """
     left = {e: len(at) for e, at in ends.items()}   # incidences not yet expanded
 
@@ -163,10 +167,9 @@ def _greedy(start: int | None, vertices: tuple[int, ...], edges_at: dict[int, li
         return 1 if left[e] == len(ends[e]) else -1 if left[e] == 1 else 0
 
     delta = {v: sum(growth(e) for e in edges_at[v]) for v in vertices}
-    order, costs, widths, width, v = [], [], [], 0, start
+    order, costs, widths, width = [], [], [], 0
     while delta:
-        if v is None:
-            v = min(delta, key=lambda u: (delta[u], u))
+        v = min(delta, key=lambda u: (delta[u], u))
         del delta[v]
         order.append(v)
         cost = width
@@ -181,7 +184,6 @@ def _greedy(start: int | None, vertices: tuple[int, ...], edges_at: dict[int, li
                 delta[u] += growth(e)
         costs.append(cost)
         widths.append(width)
-        v = None
     return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
                    tuple(sorted(widths, reverse=True)))
 
@@ -191,13 +193,14 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
           vertices: tuple[int, ...], edges: tuple[int, ...]) -> _Plan | None:
     """Vertex order and DP steps for the live ``vertices`` and ``edges``.
 
-    None when a live edge has no live incidence: the permanent is zero.
+    The order is the one greedy walk of ``_greedy``, from the vertex that
+    widens the frontier least.  None when a live edge has no live
+    incidence: the permanent is zero.
     """
     ends, edges_at = _structure(incidences, vertices, edges)
     if not all(ends.values()):
         return None
-    tries = [_greedy(v, vertices, edges_at, ends) for v in vertices]
-    order, _ = min(tries, key=itemgetter(1), default=((), None))
+    order, _ = _greedy(vertices, edges_at, ends)
     position = {v: i for i, v in enumerate(order)}
     last = {e: max(position[v] for v in at) for e, at in ends.items()}
     frontier: list[int] = []
@@ -222,19 +225,19 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
     return _Plan(tuple(order), tuple(widths), tuple(steps))
 
 
-def _moves(w: int, caps: tuple[int, ...], forced: int, entries: tuple[int, ...],
-           tb: ModTables) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(remaining free caps, coefficient) for each way a vertex of weight w expands."""
+def _spread(tb: ModTables, need: int, free_caps: tuple[int, ...],
+            free_entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(remaining free caps, coefficient) for each way to spread ``need`` over the free edges.
+
+    The coefficient is ``prod C(cap_j, k_j) m_j^{k_j}``; the caller
+    multiplies in ``W!`` and the forced edges.
+    """
     p = tb.p
-    need = w - sum(caps[:forced])
-    room = sum(caps[forced:])
+    room = sum(free_caps)
     if need < 0 or need > room:
         return ()
-    coeff = tb.fact[w]
-    for cap, m in zip(caps[:forced], entries):
-        coeff = coeff * pow(m, cap, p) % p
-    partial = [((), need, coeff)]
-    for cap, m in zip(caps[forced:], entries[forced:]):
+    partial = [((), need, 1)]
+    for cap, m in zip(free_caps, free_entries):
         room -= cap
         grown = []
         for rem, left, c in partial:
@@ -246,26 +249,39 @@ def _moves(w: int, caps: tuple[int, ...], forced: int, entries: tuple[int, ...],
     return tuple((rem, c) for rem, _, c in partial)
 
 
-def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int]:
-    """Residue of the state along the plan, and the number of DP states visited."""
+def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
+    """Residue of the state along the plan, DP states visited and move sets built.
+
+    The move table ``spreads`` serves every step and lives for this call only.
+    """
     p = state.modulus
     tb = mod_tables(p)
+    spreads: dict[tuple, tuple[tuple[tuple[int, ...], int], ...]] = {}
     layer: dict[tuple[int, ...], int] = {(): 1}
     visited = 0
     for step in plan.steps:
         w = state.vertex_weights[step.vertex]
         entering = tuple(state.edge_weights[e] for e in step.entering)
-        caps_of, keep_of = step.caps, step.keep
-        moves_by_caps: dict[tuple[int, ...], tuple] = {}
+        caps_of, keep_of, forced = step.caps, step.keep, step.forced
+        forced_entries, free_entries = step.entries[:forced], step.entries[forced:]
+        by_caps: dict[tuple[int, ...], tuple] = {}
         nxt: dict[tuple[int, ...], int] = {}
         for frontier, coeff in layer.items():
             caps = caps_of(frontier + entering)
-            moves = moves_by_caps.get(caps)
-            if moves is None:
-                moves = moves_by_caps[caps] = _moves(w, caps, step.forced,
-                                                     step.entries, tb)
+            hit = by_caps.get(caps)
+            if hit is None:
+                spread = (w - sum(caps[:forced]), caps[forced:], free_entries)
+                moves = spreads.get(spread)
+                if moves is None:
+                    moves = spreads[spread] = _spread(tb, *spread)
+                factor = tb.fact[w]
+                for cap, m in zip(caps, forced_entries):
+                    factor = factor * pow(m, cap, p) % p
+                hit = by_caps[caps] = (factor, moves)
+            factor, moves = hit
             if moves:
                 kept = keep_of(frontier)
+                coeff *= factor
                 for rem, c in moves:
                     key = kept + rem
                     nxt[key] = nxt.get(key, 0) + coeff * c
@@ -281,8 +297,8 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int]:
             del layer[key]
         visited += len(layer)
         if not layer:
-            return 0, visited
-    return layer.get((), 0), visited
+            return 0, visited, len(spreads)
+    return layer.get((), 0), visited, len(spreads)
 
 
 def cofactor_calculus(state: WeightedState) -> int:
@@ -300,14 +316,15 @@ def cofactor_calculus(state: WeightedState) -> int:
                  tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
     if plan is None:
         return 0
-    residue, visited = _transfer(state, plan)
+    residue, visited, move_sets = _transfer(state, plan)
     if debug:
         dead = [v for v, w in enumerate(state.vertex_weights) if w <= 0]
         _log.debug("cofactor: %d vertices, special %s, %d edges, p=%d: order %s, "
-                   "max width %d, %d states, %.4f s", len(state.vertex_weights),
+                   "max width %d, %d states, %d move sets, %.4f s",
+                   len(state.vertex_weights),
                    ",".join(map(str, dead)) or "none",
                    len(state.edge_weights), state.modulus, list(plan.order),
-                   max(plan.widths, default=0), visited,
+                   max(plan.widths, default=0), visited, move_sets,
                    time.perf_counter() - start)
     return residue
 
@@ -330,7 +347,7 @@ def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
         vertices = tuple(v for v in range(g.vertex_count) if v != s)
         ends, edges_at = _structure(_incidences(g.with_special(s)), vertices,
                                     range(g.edge_count))
-        _, key = _greedy(None, vertices, edges_at, ends)
+        _, key = _greedy(vertices, edges_at, ends)
         if best is None or key < best[1]:
             best = (s, key)
     return best

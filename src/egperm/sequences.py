@@ -174,6 +174,8 @@ def sequence_from_row(graph_id: str, calV: int, calE: int,
 
 def closed_form_tree(vertex_count: int, p: int) -> int:
     """(-1)^(|V|-1) mod p, for any prime p."""
+    if vertex_count < 1:
+        raise ValueError("tree needs >= 1 vertex")
     return (-1) ** (vertex_count - 1) % p
 
 

@@ -74,6 +74,23 @@ def test_closed_form_family(capsys):
     assert len(payload["values"]) == 5
 
 
+def test_closed_form_empty_tree_exits_2(capsys):
+    # a tree of no vertices has no closed form; (-1) ** -1 printed as 1.0
+    code, out, err = run(capsys, "closed-form", "--family", "tree",
+                         "--size", "0", "--bound", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_closed_form_without_source_exits_2(capsys):
+    code, out, err = run(capsys, "closed-form", "--bound", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--family" in err and "--name" in err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert code == 0
