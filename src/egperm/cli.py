@@ -229,6 +229,8 @@ def cmd_modform(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    if args.family and (args.name or args.completed):
+        raise ValueError("closed-form takes --family or --name [--completed], not both")
     if args.family:
         calV = 1 if args.family == "tree" else 2
         primes = admissible_primes(calV, args.bound)

@@ -12,7 +12,7 @@ grammar is::
 * ``SUM`` lists the summation variables (may be empty);
 * an optional leading ``SIGN <linform>;`` inside the braces is the
   exponent of -1 under the sum;
-* ``BINOM(a, b)^k`` factors multiply inside the sum; out-of-range
+* ``BINOM(a, b)^k`` factors (k >= 0) multiply inside the sum; out-of-range
   binomials evaluate to zero, which implements the summation bounds;
 * ``PREFACTOR`` collects ``fact(<linform>)^<int>`` powers (negative
   exponents use modular inverses) and an optional constant ``SIGN(<linform>)``;
@@ -21,7 +21,10 @@ grammar is::
 
 Linear forms are sums of terms ``[int]``, ``[int]n``, ``[int]<var>``,
 e.g. ``2n - x0 - x1 + 1``.  Evaluation is a dense numpy lattice over the
-variable ranges with all arithmetic mod p.
+variable ranges (``np.indices``) with all arithmetic mod p: each binomial
+is raised to its power by a lookup in ``ModTables.powers``, the sign
+multiplies the term, and the term is summed over the whole lattice, so a
+variable that no factor mentions still counts its range.
 """
 
 from __future__ import annotations
@@ -189,6 +192,8 @@ def parse_expr(text: str, calV: int = 2) -> BinomialSumExpr:
         if p.peek() == "^":
             p.take()
             power = p.integer()
+        if power < 0:
+            raise ValueError(f"BINOM power {power} is negative; a zero binomial has no inverse")
         factors.append(BinomFactor(top, bottom, power))
     p.take("}")
     p.take("PREFACTOR")
@@ -276,15 +281,8 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
     if sgn % 2:
         pref = (-pref) % p
 
-    if k == 0:
-        return pref % p
-
-    axes = np.arange(bound + 1, dtype=np.int64)
-    grids = {}
-    for i, v in enumerate(e.variables):
-        shape = [1] * k
-        shape[i] = bound + 1
-        grids[v] = axes.reshape(shape)
+    shape = (max(bound + 1, 0),) * k
+    grids = dict(zip(e.variables, np.indices(shape, sparse=True)))
 
     # binomial lookup with out-of-range arguments giving zero
     fact_t = np.array(tb.fact, dtype=np.int64)
@@ -300,34 +298,12 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
         val = fact_t[ts] * ifact_t[bs] % p * ifact_t[ts - bs] % p
         return np.where(ok, val, 0)
 
-    term = None
+    term = 1
     for f in e.factors:
         top = _eval_linform(f.top, n, grids)
         bot = _eval_linform(f.bottom, n, grids)
-        val = binom_arr(top, bot)
-        if f.power != 1:
-            val = _np_pow_mod(val, f.power, p)
-        term = val if term is None else term * val % p
-    if term is None:
-        term = np.ones((bound + 1,) * k, dtype=np.int64)
-    sign_exp = _eval_linform(e.sum_sign, n, grids)
-    if np.ndim(sign_exp) == 0:
-        total = int(np.sum(term, dtype=object) % p)
-        if sign_exp % 2:
-            total = (-total) % p
-    else:
-        sign = np.where(np.asarray(sign_exp) % 2 == 0, 1, p - 1)
-        total = int((np.broadcast_to(sign, np.shape(term)) * term % p)
-                    .sum(dtype=object) % p)
+        term = term * tb.powers(f.power)[binom_arr(top, bot)] % p
+    # every entry is in (-p, p), so the int64 sum is exact under MAX_LATTICE
+    term = term * (1 - 2 * (_eval_linform(e.sum_sign, n, grids) % 2))
+    total = int(np.broadcast_to(term, shape).sum() % p)
     return pref * total % p
-
-
-def _np_pow_mod(arr: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(arr)
-    base = arr % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out

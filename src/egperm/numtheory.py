@@ -66,7 +66,8 @@ def admissible_n(calV: int, p: int) -> int:
 
 
 class ModTables:
-    """Factorials, inverse factorials, binomials, falling factorials mod p."""
+    """Factorials, inverse factorials, binomials, falling factorials and
+    power tables mod p."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -93,6 +94,11 @@ class ModTables:
         if b < 0 or a < 0 or b > a:
             return 0
         return self.fact[a] * self.inv_fact[a - b] % self.p
+
+    def powers(self, k: int) -> np.ndarray:
+        """int64 array of ``pow(x, k, p)`` for x = 0..p-1; index it with an
+        array of residues to raise every entry to the power k."""
+        return np.array([pow(x, k, self.p) for x in range(self.p)], dtype=np.int64)
 
 
 @lru_cache(maxsize=128)

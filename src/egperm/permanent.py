@@ -1,9 +1,12 @@
-"""Permanent computation kernels.
+"""Block permanents mod p and the graph permanents built on them.
 
-``block_perm_exact`` / ``block_perm_mod`` are Ryser's formula specialised to
-block matrices ``1_{a x b} (x) B`` without materialising them.  Repeated
-columns collapse subsets into multiplicity vectors, so the cost is
-``(b+1)^cols(B)`` instead of ``2^(b*cols(B))``.
+``block_perm_mod`` is Ryser's formula specialised to block matrices
+``1_{a x b} (x) B`` without materialising them.  Repeated columns collapse
+subsets into multiplicity vectors, so the cost is ``(b+1)^cols(B)`` instead
+of ``2^(b*cols(B))``.  Over the lattice of multiplicity vectors, each
+column contributes one weight vector ``(-1)^s C(b, s)`` mod p (Ryser's sign
+folded in), and each row sum is raised to the power a by a lookup in the
+power table ``ModTables.powers(a)``.
 
 On top of these sit the graph permanents ``gperm_direct`` and
 ``gperm_reduced`` and the unimodular row reduction used by the latter.
@@ -14,9 +17,6 @@ bounds the block Ryser behind ``direct`` and ``reduced``.
 
 from __future__ import annotations
 
-import math
-from itertools import product
-
 import numpy as np
 
 from .graphs import OrientedGraph, block_spec, reduced_incidence
@@ -25,7 +25,6 @@ from .numtheory import mod_tables
 __all__ = [
     "DimensionCapError",
     "RankDeficiencyError",
-    "block_perm_exact",
     "block_perm_mod",
     "blockwise_row_reduce",
     "gperm_direct",
@@ -50,49 +49,6 @@ def _check_block_square(base: np.ndarray, a: int, b: int) -> tuple[int, int]:
     return r, c
 
 
-def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
-    """Exact permanent of ``1_{a x b} (x) base`` via multiplicity Ryser."""
-    base = np.asarray(base, dtype=np.int64)
-    r, c = _check_block_square(base, row_reps, col_reps)
-    if c == 0:
-        return 1
-    a, b = row_reps, col_reps
-    n_total = a * r
-    binom = [math.comb(b, s) for s in range(b + 1)]
-    cols = [tuple(int(x) for x in base[:, j]) for j in range(c)]
-    total = 0
-    for s in product(range(b + 1), repeat=c):
-        weight = 1
-        for sj in s:
-            weight *= binom[sj]
-        sums = [0] * r
-        for j, sj in enumerate(s):
-            if sj:
-                col = cols[j]
-                for i in range(r):
-                    sums[i] += sj * col[i]
-        prod = weight
-        for v in sums:
-            if v == 0:
-                prod = 0
-                break
-            prod *= v ** a
-        if prod:
-            total += -prod if sum(s) % 2 else prod
-    return total if n_total % 2 == 0 else -total
-
-
-def _mod_pow_array(arr: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(arr)
-    base = arr % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
     """Permanent of ``1_{a x b} (x) base`` mod p, vectorised over the
     column-multiplicity lattice {0..b}^c."""
@@ -107,25 +63,18 @@ def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
         raise DimensionCapError(
             f"block Ryser lattice (b+1)^c = {b + 1}^{c} exceeds cap {LATTICE_CAP}")
     tb = mod_tables(p)
-    binom = np.array([tb.binom(b, s) for s in range(b + 1)], dtype=np.int64)
-    axes = np.arange(b + 1, dtype=np.int64)
-    term = None
-    sum_s = None
-    row_sums = [None] * r
-    for j in range(c):
-        shape = [1] * c
-        shape[j] = b + 1
-        sj = axes.reshape(shape)
-        wj = binom.reshape(shape)
-        term = wj if term is None else term * wj % p
-        sum_s = sj if sum_s is None else sum_s + sj
-        for i in range(r):
-            contrib = sj * int(base[i, j])
-            row_sums[i] = contrib if row_sums[i] is None else row_sums[i] + contrib
-    for i in range(r):
-        term = term * _mod_pow_array(row_sums[i] % p, a, p) % p
-    sign = np.where(sum_s % 2 == 0, 1, p - 1)
-    total = int((term * sign % p).sum() % p)
+    # Ryser's sign (-1)^(s_1 + .. + s_c) rides in each column's weight
+    weight = np.array([(-1) ** s * tb.binom(b, s) % p for s in range(b + 1)],
+                      dtype=np.int64)
+    power = tb.powers(a)
+    grids = np.indices((b + 1,) * c, sparse=True)
+    term = 1
+    for s in grids:
+        term = term * weight[s] % p
+    for row in base:
+        row_sum = sum(int(x) * s for x, s in zip(row, grids) if x)
+        term = term * power[row_sum % p] % p
+    total = int(term.sum() % p)
     if (a * r) % 2:
         total = (-total) % p
     return total

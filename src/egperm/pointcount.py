@@ -108,12 +108,8 @@ def point_count(g: OrientedGraph, p: int) -> int:
     L = f.num_vars
     if p ** L > MAX_POINT_LATTICE:
         raise GraphError(f"point lattice p^L = {p}^{L} exceeds cap")
-    axis = np.array([pow(x, f.power, p) for x in range(p)], dtype=np.int64)
-    grids = []
-    for j in range(L):
-        shape = [1] * L
-        shape[j] = p
-        grids.append(axis.reshape(shape))
+    power = mod_tables(p).powers(f.power)
+    grids = [power[y] for y in np.indices((p,) * L, sparse=True)]
     nonzero = None
     for row in f.coeffs:
         val = None

@@ -2,12 +2,15 @@
 
 ``perm_leibniz`` sums over the symmetric group; ``perm_exact`` and
 ``perm_mod`` run Ryser's inclusion-exclusion with Gray-code row-sum
-updates.  ``RYSER_CAP`` bounds the latter.
+updates.  ``RYSER_CAP`` bounds the latter.  ``block_perm_exact`` is the
+exact integer block Ryser over the column-multiplicity lattice, the
+oracle of ``egperm.permanent.block_perm_mod``.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+import math
+from itertools import permutations, product
 
 import numpy as np
 
@@ -76,3 +79,37 @@ def perm_exact(m) -> int:
 def perm_mod(m, p: int) -> int:
     """Permanent residue mod p via Gray-code Ryser."""
     return _ryser(m, p)
+
+
+def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
+    """Exact permanent of ``1_{a x b} (x) base`` via multiplicity Ryser."""
+    base = np.asarray(base, dtype=np.int64)
+    r, c = base.shape
+    if row_reps * r != col_reps * c:
+        raise ValueError(f"block matrix {row_reps}*{r} x {col_reps}*{c} is not square")
+    if c == 0:
+        return 1
+    a, b = row_reps, col_reps
+    n_total = a * r
+    binom = [math.comb(b, s) for s in range(b + 1)]
+    cols = [tuple(int(x) for x in base[:, j]) for j in range(c)]
+    total = 0
+    for s in product(range(b + 1), repeat=c):
+        weight = 1
+        for sj in s:
+            weight *= binom[sj]
+        sums = [0] * r
+        for j, sj in enumerate(s):
+            if sj:
+                col = cols[j]
+                for i in range(r):
+                    sums[i] += sj * col[i]
+        prod = weight
+        for v in sums:
+            if v == 0:
+                prod = 0
+                break
+            prod *= v ** a
+        if prod:
+            total += -prod if sum(s) % 2 else prod
+    return total if n_total % 2 == 0 else -total

@@ -29,7 +29,7 @@ from egperm.graphs import (
 )
 from egperm.modform import compare, eta_expand, parse_eta_product
 from egperm.numtheory import admissible_primes
-from egperm.permanent import block_perm_exact, gperm_direct, gperm_reduced
+from egperm.permanent import gperm_direct, gperm_reduced
 from egperm.pointcount import coefficient_oracle, point_count, reconcile
 from egperm.sequences import (
     canonicalize_sign,
@@ -48,6 +48,7 @@ from egperm.transforms import (
     symmetry_zero_predicate,
     two_vertex_split,
 )
+from oracles import block_perm_exact
 
 K4 = zigzag(4)
 TRIANGLE = cycle(3)

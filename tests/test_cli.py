@@ -91,6 +91,16 @@ def test_closed_form_without_source_exits_2(capsys):
     assert "--family" in err and "--name" in err
 
 
+def test_closed_form_conflicting_sources_exit_2(capsys):
+    # --family evaluates a family formula; --name/--completed a stored one
+    for extra in (("--name", "P_3_1"), ("--completed",)):
+        code, out, err = run(capsys, "closed-form", "--family", "wheel",
+                             *extra, "--bound", "7")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert code == 0

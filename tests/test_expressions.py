@@ -48,3 +48,24 @@ def test_inadmissible_prime_rejected():
     e = load_expression("completed_P_1_1.expr", calV=3)
     with pytest.raises(ValueError):
         eval_expr(e, 5)  # 5 - 1 is not a multiple of 3
+
+
+def test_variable_missing_from_every_binom_counts_its_range():
+    # at p = 5, n = 2: sum over x0 of C(2, x0) is 4, and x1 takes 3 values
+    e = parse_expr("SUM x0 x1 { BINOM(n, x0) } PREFACTOR fact(0)")
+    assert eval_expr(e, 5) == 4 * 3 % 5
+    e = parse_expr("SUM x0 x1 { SIGN x1; BINOM(n, x0) } PREFACTOR fact(0)")
+    assert eval_expr(e, 5) == 4 * (1 - 1 + 1) % 5
+
+
+def test_sum_without_variables_keeps_its_factors():
+    e = parse_expr("SUM { SIGN n + 1; BINOM(n, 1)^3 } PREFACTOR fact(n)")
+    assert eval_expr(e, 5) == -(2 ** 3) * 2 % 5
+
+
+def test_negative_binom_power_rejected():
+    with pytest.raises(ValueError, match="BINOM power"):
+        parse_expr("SUM x0 { BINOM(n, x0)^-1 } PREFACTOR fact(0)")
+    # a negative factorial power is a modular inverse, and stays valid
+    e = parse_expr("SUM x0 { BINOM(n, x0) } PREFACTOR fact(n)^-1")
+    assert eval_expr(e, 5) == 4 * pow(2, -1, 5) % 5

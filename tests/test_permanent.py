@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egperm.permanent as permanent
 import oracles
@@ -9,13 +11,12 @@ from egperm.cofactor import gperm_cofactor
 from egperm.graphs import banana, build_graph, reduced_incidence, wheel, zigzag
 from egperm.permanent import (
     DimensionCapError,
-    block_perm_exact,
     block_perm_mod,
     blockwise_row_reduce,
     gperm_direct,
     gperm_reduced,
 )
-from oracles import perm_exact, perm_leibniz, perm_mod
+from oracles import block_perm_exact, perm_exact, perm_leibniz, perm_mod
 
 
 def test_known_permanents():
@@ -63,6 +64,31 @@ def test_block_perm_mod_matches_exact():
     for p, n in ((5, 2), (13, 6)):
         exact = block_perm_exact(base, 2 * n, n)
         assert block_perm_mod(base, 2 * n, n, p) == exact % p
+
+
+@st.composite
+def block_bases(draw):
+    """A 1-3 x 1-3 base with entries in -2..2, an all-zero row in a quarter
+    of draws, and repeat counts a, b with a*r == b*c (at most 11^3 lattice
+    points)."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    a, b = m * math.lcm(r, c) // r, m * math.lcm(r, c) // c
+    base = draw(st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    if draw(st.integers(0, 3)) == 0:
+        base[draw(st.integers(0, r - 1))] = [0] * c
+    return np.array(base, dtype=np.int64), a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_bases())
+def test_block_perm_mod_matches_exact_random(case):
+    # Ryser's sign rides in the column weights; odd a*r flips the total
+    base, a, b = case
+    exact = block_perm_exact(base, a, b)
+    for p in (2, 3, 5, 7, 11, 13):
+        assert block_perm_mod(base, a, b, p) == exact % p, p
 
 
 def test_repeated_rows_divisible_by_factorial():
