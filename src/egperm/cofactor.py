@@ -81,17 +81,13 @@ class WeightedState:
 
 
 def _incidences(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(vertex, entry) pairs of each edge at the vertices other than the special one."""
-    inc = []
-    for t, h in g.edges:
-        pairs = []
-        if t != h:  # a loop nets to a zero column, as in full_incidence
-            if h != g.special_vertex:
-                pairs.append((h, 1))
-            if t != g.special_vertex:
-                pairs.append((t, -1))
-        inc.append(tuple(pairs))
-    return tuple(inc)
+    """(vertex, entry) pairs of each edge, at every vertex.
+
+    The special vertex weighs 0, so ``_structure`` drops its incidences
+    as it drops those of any dead vertex.  A loop nets to a zero column,
+    as in ``full_incidence``.
+    """
+    return tuple(() if t == h else ((h, 1), (t, -1)) for t, h in g.edges)
 
 
 def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
@@ -343,10 +339,10 @@ def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
     wins, ties to the lower vertex index.
     """
     best = None
+    incidences = _incidences(g)
     for s in range(g.vertex_count):
         vertices = tuple(v for v in range(g.vertex_count) if v != s)
-        ends, edges_at = _structure(_incidences(g.with_special(s)), vertices,
-                                    range(g.edge_count))
+        ends, edges_at = _structure(incidences, vertices, range(g.edge_count))
         _, key = _greedy(vertices, edges_at, ends)
         if best is None or key < best[1]:
             best = (s, key)

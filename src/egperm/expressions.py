@@ -196,6 +196,10 @@ def parse_expr(text: str, calV: int = 2) -> BinomialSumExpr:
             raise ValueError(f"BINOM power {power} is negative; a zero binomial has no inverse")
         factors.append(BinomFactor(top, bottom, power))
     p.take("}")
+    for form in [sum_sign] + [lf for f in factors for lf in (f.top, f.bottom)]:
+        for v, _ in form.var_coeffs:
+            if v not in variables:
+                raise ValueError(f"variable {v!r} in the sum is not declared by SUM")
     p.take("PREFACTOR")
     fact_powers = []
     prefactor_sign = LinForm()

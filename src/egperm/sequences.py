@@ -88,7 +88,10 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
         raise ValueError(f"unknown algorithm {algorithm!r}")
     check_bound(bound)
     if merge_components and not g.is_connected():
-        g = _merge_components(g)  # fewer vertices: the block sizes change
+        merged = _merge_components(g)  # fewer vertices: the block sizes change
+        if merged.vertex_count > 1:
+            # loops alone merge into one vertex; their columns are zero either way
+            g = merged
     spec = block_spec(g)
     primes = admissible_primes(spec.calV, bound)
     if not primes:

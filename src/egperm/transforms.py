@@ -66,12 +66,10 @@ def _iso_maps(g1: OrientedGraph, g2: OrientedGraph):
     if n > AUTOMORPHISM_VERTEX_CAP:
         raise GraphError(f"isomorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices")
     a1, a2 = _adjacency_counts(g1), _adjacency_counts(g2)
-    d1 = sorted(sum(c for c in row.values()) for row in a1)
-    d2 = sorted(sum(c for c in row.values()) for row in a2)
-    if d1 != d2:
+    deg1 = [sum(row.values()) for row in a1]
+    deg2 = [sum(row.values()) for row in a2]
+    if sorted(deg1) != sorted(deg2):
         return
-    deg1 = [sum(c for c in row.values()) for row in a1]
-    deg2 = [sum(c for c in row.values()) for row in a2]
     # order g1 vertices to keep the partial map connected where possible
     order = sorted(range(n), key=lambda v: -deg1[v])
     image = [-1] * n

@@ -44,6 +44,13 @@ def test_parse_rejects_garbage():
         parse_expr("hello world")
 
 
+def test_undeclared_variable_rejected():
+    for text in ("SUM x0 { BINOM(n, x9) } PREFACTOR fact(0)",
+                 "SUM x0 { SIGN x9; BINOM(n, x0) } PREFACTOR fact(0)"):
+        with pytest.raises(ValueError, match="'x9'"):
+            parse_expr(text)
+
+
 def test_inadmissible_prime_rejected():
     e = load_expression("completed_P_1_1.expr", calV=3)
     with pytest.raises(ValueError):

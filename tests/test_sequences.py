@@ -76,6 +76,14 @@ def test_merge_components_multiplies():
         assert m.residue == t.residue ** 2 % m.prime
 
 
+def test_merge_components_of_loops_only_vanishes():
+    # the loop merges onto the special vertex, leaving a one-vertex graph;
+    # its column is zero either way, so the unmerged zeros stand
+    g = build_graph([(0, 0)], 2, 0)
+    assert egp(g, 13, merge_components=True) == egp(g, 13)
+    assert egp(g, 13, merge_components=True).residues() == [0] * 6
+
+
 def test_tree_closed_form():
     rng = random.Random(99)
     trees = [path_tree(4), star_tree(5)]

@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
 """Derive and freeze the bundled graph catalog (data/catalog.json).
 
-Steps:
+The derivation is exact and deterministic: two runs write the same
+bytes.  Steps:
 
-1. Enumerate connected 4-regular simple graphs on 5..10 vertices up to
-   isomorphism by repeated uniform sampling (networkx) with
-   Weisfeiler-Lehman hash bucketing; assert the known class counts.
+1. Enumerate connected 4-regular simple graphs on 5..9 vertices up to
+   isomorphism: the closure of circulant(n, 1, 2) under double-edge
+   switches ab, cd -> ac, bd that keep the graph simple and connected,
+   which reaches every class (R. Taylor, "Constrained switchings in
+   graphs", 1981).  Isomorphism is tested only within buckets of equal
+   triangle count.  Assert the known class counts.
 2. Filter the *primitive* completions: every vertex subset S with
    2 <= |S| <= n-2 has edge boundary >= 6 (the only 4-edge-cuts are
-   vertex stars).
+   vertex stars), and no 3 vertices disconnect the rest.
 3. Name each primitive class by matching the canonical residue row of
    its decompletion (primes <= 13) against the published tables,
-   breaking ties via circulant isomorphism, the symmetry-zero
-   predicate, and -- for the twist pair, where no structural invariant
-   separates the two labels -- a deterministic canonical-form choice.
+   breaking ties via circulant isomorphism.  The rows of P_7_4/P_7_7
+   and of P_7_5/P_7_10 are equal, so by convention the class with more
+   triangles takes the lower-numbered name (6 vs 5 and 6 vs 4).
 4. Certify the recorded relations: find an explicit 4-cut whose twist
    maps P_7_4 to P_7_7, and a planar decompletion + rotation system
-   exhibiting P_7_5 <-> P_7_10 duality.
+   exhibiting P_7_5 <-> P_7_10 duality.  networkx supplies the planar
+   rotation, and nothing else.
 5. Emit src/egperm/data/catalog.json and a CHECKSUMS file.
 
-Run from the repository root:  python3 tools/derive_catalog.py
+Run:  python3 tools/derive_catalog.py
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ from pathlib import Path
 
 import networkx as nx
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src/egperm/data"
+sys.path.insert(0, str(ROOT / "src"))
 
-from egperm.graphs import OrientedGraph, banana, build_graph, circulant, decomplete
+from egperm.graphs import (GraphError, OrientedGraph, build_graph, circulant,
+                           complete, decomplete)
 from egperm.sequences import canonicalize_sign, egp
 from egperm.transforms import (FourCutSpec, isomorphic, planar_dual,
                                schnetz_twist, symmetry_zero_predicate)
@@ -113,40 +121,47 @@ COMMON = {"P_3_1": {"completed": "K5", "decompleted": "K4 (wheel W3)"},
           "P_6_4": {"decompleted": "K_{3,4}"}}
 
 
-def to_nx(g: OrientedGraph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edges)
-    return h
+def triangles(g: OrientedGraph) -> int:
+    """Number of triangles of a simple graph."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for t, h in g.edges:
+        adj[t].add(h)
+        adj[h].add(t)
+    return sum(len(adj[t] & adj[h]) for t, h in g.edges) // 3
 
 
-def from_nx(h: nx.Graph) -> OrientedGraph:
-    nodes = sorted(h.nodes)
-    remap = {v: i for i, v in enumerate(nodes)}
-    return build_graph([(remap[u], remap[v]) for u, v in h.edges],
-                       len(nodes), 0)
+def switches(g: OrientedGraph):
+    """The simple connected graphs one double-edge switch away from g.
 
-
-def enumerate_4regular(n: int, patience: int = 6000) -> list[OrientedGraph]:
-    """All connected 4-regular simple graphs on n vertices, by sampling."""
-    import random
-    rng = random.Random(12345 + n)
-    buckets: dict[str, list[OrientedGraph]] = {}
-    found: list[OrientedGraph] = []
-    misses = 0
-    while misses < patience:
-        h = nx.random_regular_graph(4, n, seed=rng.randrange(1 << 30))
-        if not nx.is_connected(h):
+    A switch replaces edges ab, cd by ac, bd.  Edges are kept as sorted
+    (low, high) pairs in a sorted list, so the output is deterministic.
+    """
+    edges = set(g.edges)
+    for (a, b), (c, d) in itertools.combinations(g.edges, 2):
+        if len({a, b, c, d}) < 4:
             continue
-        g = from_nx(h)
-        key = nx.weisfeiler_lehman_graph_hash(h, iterations=3)
-        new = all(not isomorphic(g, other) for other in buckets.get(key, []))
-        if new:
-            buckets.setdefault(key, []).append(g)
-            found.append(g)
-            misses = 0
-        else:
-            misses += 1
+        for x, y in ((c, d), (d, c)):
+            new = {(min(a, x), max(a, x)), (min(b, y), max(b, y))}
+            if new & edges:
+                continue
+            h = build_graph(sorted(edges - {(a, b), (c, d)} | new), g.vertex_count)
+            if h.is_connected():
+                yield h
+
+
+def enumerate_4regular(n: int) -> list[OrientedGraph]:
+    """One graph per class of connected 4-regular simple graphs on n vertices.
+
+    The closure of circulant(n, 1, 2) under ``switches``, in the order found.
+    """
+    found = [circulant(n, 1, 2)]
+    buckets = {triangles(found[0]): [found[0]]}
+    for g in found:  # grows while it is walked
+        for h in switches(g):
+            bucket = buckets.setdefault(triangles(h), [])
+            if not any(isomorphic(h, other) for other in bucket):
+                bucket.append(h)
+                found.append(h)
     return found
 
 
@@ -155,8 +170,9 @@ def is_primitive(g: OrientedGraph) -> bool:
 
     The graph must be internally 6-edge-connected (every 4-edge-cut
     splits off a single vertex) and 4-vertex-connected (a 3-vertex cut
-    factorises the period into a product).  This reproduces the census
-    class counts 1, 1, 1, 4, 11 on 5..9 vertices.
+    factorises the period into a product): no 3 vertices disconnect the
+    rest.  The edge check alone does not imply the vertex check.  This
+    reproduces the census class counts 1, 1, 1, 4, 11 on 5..9 vertices.
     """
     n = g.vertex_count
     for size in range(2, n - 1):
@@ -165,24 +181,19 @@ def is_primitive(g: OrientedGraph) -> bool:
             boundary = sum(1 for t, h in g.edges if (t in ss) != (h in ss))
             if boundary < 6:
                 return False
-    return nx.node_connectivity(to_nx(g)) >= 4
+    for cut in itertools.combinations(range(n), 3):
+        rest = g
+        for v in reversed(cut):
+            rest = decomplete(rest, v)
+        if not rest.is_connected():
+            return False
+    return True
 
 
 def canonical_row(dec: OrientedGraph, primes: list[int]) -> list[int]:
     seq = canonicalize_sign(egp(dec, max(primes)))
     by_p = {v.prime: v.residue for v in seq.values}
     return [by_p[p] for p in primes]
-
-
-def completion(g: OrientedGraph) -> OrientedGraph:
-    """Add the unique vertex restoring 4-regularity."""
-    degs = g.degrees()
-    low = [v for v in range(g.vertex_count) if degs[v] < 4]
-    new = g.vertex_count
-    extra = []
-    for v in low:
-        extra.extend([(v, new)] * (4 - degs[v]))
-    return build_graph(list(g.edges) + extra, new + 1, 0)
 
 
 def any_decompletion_szp(g: OrientedGraph) -> bool:
@@ -194,28 +205,10 @@ def find_twist_cut(g: OrientedGraph, target: OrientedGraph) -> FourCutSpec:
     """Search for a 4-cut whose twist turns g into target (up to iso)."""
     n = g.vertex_count
     for cut4 in itertools.combinations(range(n), 4):
-        others = [v for v in range(n) if v not in cut4]
-        adj = {v: set() for v in others}
-        for t, h in g.edges:
-            if t in adj and h in adj:
-                adj[t].add(h)
-                adj[h].add(t)
+        cut = set(cut4)
+        off_cut = build_graph([e for e in g.edges if not cut & set(e)], n)
         # candidate left sides: unions of connected components off the cut
-        comps = []
-        seen = set()
-        for s in others:
-            if s in seen:
-                continue
-            stack, comp = [s], set()
-            seen.add(s)
-            while stack:
-                v = stack.pop()
-                comp.add(v)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
+        comps = [frozenset(c) for c in off_cut.components() if not c & cut]
         if len(comps) < 2:
             continue
         for r in range(1, len(comps)):
@@ -225,7 +218,7 @@ def find_twist_cut(g: OrientedGraph, target: OrientedGraph) -> FourCutSpec:
                     spec = FourCutSpec(tuple(perm), left)
                     try:
                         twisted = schnetz_twist(g, spec)
-                    except Exception:
+                    except GraphError:
                         continue
                     if not isomorphic(twisted, g) and isomorphic(twisted, target):
                         return spec
@@ -233,7 +226,8 @@ def find_twist_cut(g: OrientedGraph, target: OrientedGraph) -> FourCutSpec:
 
 
 def planar_rotation(dec: OrientedGraph) -> dict[int, list[int]] | None:
-    h = to_nx(dec)
+    h = nx.Graph(dec.edges)
+    h.add_nodes_from(range(dec.vertex_count))
     ok, emb = nx.check_planarity(h)
     if not ok:
         return None
@@ -245,7 +239,8 @@ def planar_rotation(dec: OrientedGraph) -> dict[int, list[int]] | None:
             for v in h.nodes}
 
 
-def main() -> None:
+def derive_catalog() -> dict:
+    """The catalog, as written to catalog.json."""
     classes: dict[int, list[OrientedGraph]] = {}
     for n in range(5, 10):
         classes[n] = enumerate_4regular(n)
@@ -289,35 +284,26 @@ def main() -> None:
             assert isomorphic(g, c813)
             named["P_6_4"] = g
 
-    # 7 loops: match rows; symmetry-zero splits the dual pair; the twist
-    # pair is structurally symmetric, so order the two classes by their
-    # sorted degree-refined canonical key and assign deterministically
+    # 7 loops: match rows.  No row separates P_7_4 from P_7_7 or P_7_5
+    # from P_7_10, so in each tied pair the class with more triangles
+    # takes the lower-numbered name
     row_lookup_7 = {}
-    for i in list(range(1, 12)):
+    for i in range(1, 12):
         name = f"P_7_{i}"
         row_lookup_7.setdefault(tuple(ROWS[name][:5]), []).append(name)
-    twist_classes = []
-    dual_classes = []
+    tied: dict[tuple[str, ...], list[OrientedGraph]] = {}
     for g in primitive[9]:
         row = tuple(canonical_row(decomplete(g, 0), MATCH_PRIMES))
         cands = row_lookup_7[row]
         if len(cands) == 1:
             named[cands[0]] = g
-        elif set(cands) == {"P_7_5", "P_7_10"}:
-            dual_classes.append(g)
         else:
-            assert set(cands) == {"P_7_4", "P_7_7"}
-            twist_classes.append(g)
-    assert len(twist_classes) == 2
-    twist_classes.sort(key=lambda g: sorted(map(tuple, g.edges)))
-    named["P_7_4"], named["P_7_7"] = twist_classes
-    # both classes of the dual pair have symmetric decompletions (they
-    # share one sequence), so no invariant separates the two labels;
-    # assign them deterministically like the twist pair
-    assert len(dual_classes) == 2
-    assert all(any_decompletion_szp(g) for g in dual_classes)
-    dual_classes.sort(key=lambda g: sorted(map(tuple, g.edges)))
-    named["P_7_5"], named["P_7_10"] = dual_classes
+            tied.setdefault(tuple(cands), []).append(g)
+    assert sorted(tied) == [("P_7_4", "P_7_7"), ("P_7_5", "P_7_10")], sorted(tied)
+    for names, pair in tied.items():
+        pair.sort(key=triangles, reverse=True)
+        assert len(pair) == 2 and triangles(pair[0]) > triangles(pair[1]), names
+        named.update(zip(names, pair))
     assert isomorphic(named["P_7_1"], circulant(9, 1, 2))
     assert isomorphic(named["P_7_11"], circulant(9, 1, 3))
     print("named classes:", sorted(named))
@@ -351,8 +337,11 @@ def main() -> None:
             rot = planar_rotation(dec)
             if rot is None:
                 continue
-            dual = planar_dual(dec, rot)
-            if isomorphic(completion(dual), named[target]):
+            try:
+                completed = complete(planar_dual(dec, rot))
+            except GraphError:
+                continue  # the dual's degrees allow no completion
+            if isomorphic(completed, named[target]):
                 rotation, dual_vertex, dual_source = rot, v, source
                 break
         if rotation is not None:
@@ -375,7 +364,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # emit catalog.json
     # ------------------------------------------------------------------
-    expr_dir = Path(__file__).resolve().parent.parent / "src/egperm/data/expressions"
+    expr_dir = DATA / "expressions"
     entries = []
     for name in ROWS:
         loops = int(name.split("_")[1])
@@ -425,7 +414,7 @@ def main() -> None:
     nonprimitive = []
     for n in classes:
         for g in classes[n]:
-            if not any(isomorphic(g, h) for h in primitive[n]):
+            if g not in primitive[n]:
                 nonprimitive.append({
                     "name": f"fourregular_{n}_{len(nonprimitive) + 1}",
                     "vertices": n,
@@ -451,14 +440,18 @@ def main() -> None:
         },
         "nonprimitive_4regular": nonprimitive,
     }
-    out = Path(__file__).resolve().parent.parent / "src/egperm/data/catalog.json"
+    print(f"derived {len(entries)} entries, {len(nonprimitive)} auxiliary graphs")
+    return catalog
+
+
+def write_catalog(catalog: dict) -> None:
+    """Write catalog.json and its CHECKSUMS line."""
+    out = DATA / "catalog.json"
     out.write_text(json.dumps(catalog, indent=1) + "\n")
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    checks = out.parent / "CHECKSUMS"
-    checks.write_text(f"{digest}  catalog.json\n")
-    print(f"wrote {out} ({len(entries)} entries, "
-          f"{len(nonprimitive)} auxiliary graphs), sha256={digest[:16]}...")
+    (DATA / "CHECKSUMS").write_text(f"{digest}  catalog.json\n")
+    print(f"wrote {out}, sha256={digest[:16]}...")
 
 
 if __name__ == "__main__":
-    main()
+    write_catalog(derive_catalog())
