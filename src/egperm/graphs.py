@@ -9,7 +9,7 @@ signed incidence matrix before any permanent is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ from .numtheory import admissible_n
 __all__ = [
     "OrientedGraph",
     "BlockSpec",
-    "SignedIncidence",
     "build_graph",
     "reduced_incidence",
     "full_incidence",
@@ -33,6 +32,7 @@ __all__ = [
     "tree_from_parents",
     "path_tree",
     "star_tree",
+    "triangles",
     "complete",
     "decomplete",
     "parse_graph",
@@ -119,18 +119,6 @@ class BlockSpec:
         return admissible_n(self.calV, p)
 
 
-@dataclass(frozen=True)
-class SignedIncidence:
-    """Reduced signed incidence matrix (special vertex's row deleted)."""
-
-    rows: np.ndarray  # (|V|-1) x |E|, entries in {-1, 0, 1}
-    row_vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64))
-        self.rows.setflags(write=False)
-
-
 def build_graph(edge_list: Iterable[tuple[int, int]],
                 vertex_count: int,
                 special_vertex: int = 0) -> OrientedGraph:
@@ -147,13 +135,11 @@ def full_incidence(g: OrientedGraph) -> np.ndarray:
     return m
 
 
-def reduced_incidence(g: OrientedGraph) -> SignedIncidence:
-    """Delete the special vertex's row from the signed incidence matrix."""
+def reduced_incidence(g: OrientedGraph) -> np.ndarray:
+    """The (|V|-1) x |E| signed incidence matrix without the special vertex's row."""
     if g.vertex_count < 2:
         raise GraphError("reduced incidence needs at least two vertices")
-    m = full_incidence(g)
-    keep = [v for v in range(g.vertex_count) if v != g.special_vertex]
-    return SignedIncidence(m[keep, :], tuple(keep))
+    return np.delete(full_incidence(g), g.special_vertex, axis=0)
 
 
 def block_spec(g: OrientedGraph) -> BlockSpec:
@@ -245,6 +231,15 @@ def star_tree(n: int, special: int = 0) -> OrientedGraph:
     return tree_from_parents([0] * (n - 1), special)
 
 
+def triangles(g: OrientedGraph) -> int:
+    """Number of triangles of a simple graph."""
+    adj = [set() for _ in range(g.vertex_count)]
+    for t, h in g.edges:
+        adj[t].add(h)
+        adj[h].add(t)
+    return sum(len(adj[t] & adj[h]) for t, h in g.edges) // 3
+
+
 def complete(g: OrientedGraph) -> OrientedGraph:
     """Add one vertex joined so that the result is 4-regular."""
     deg = g.degrees()
@@ -292,17 +287,18 @@ def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "V":
-            vertex_count = int(parts[1])
-            if len(parts) >= 4 and parts[2] == "SPECIAL":
-                special = int(parts[3])
-        elif parts[0] == "ROT":
-            v = int(parts[1].rstrip(":"))
-            rotation[v] = [int(x) for x in parts[2:]]
-        else:
-            if len(parts) != 2:
-                raise GraphError(f"unparsable line: {raw!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if parts[0] == "V":
+                vertex_count = int(parts[1])
+                if len(parts) >= 4 and parts[2] == "SPECIAL":
+                    special = int(parts[3])
+            elif parts[0] == "ROT":
+                rotation[int(parts[1].rstrip(":"))] = [int(x) for x in parts[2:]]
+            else:
+                t, h = map(int, parts)  # exactly two fields
+                edges.append((t, h))
+        except (IndexError, ValueError):
+            raise GraphError(f"unparsable line: {raw!r}") from None
     if vertex_count is None:
         raise GraphError("missing 'V <n>' header")
     g = OrientedGraph(vertex_count, tuple(edges), special)

@@ -151,6 +151,8 @@ def series_from_csv(path: str, label: str | None = None) -> CoeffSeries:
         for row in csv.reader(fh):
             if not row or row[0].strip().lstrip("-").isdigit() is False:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {row!r} needs the two fields n,a_n")
             n, a_n = int(row[0]), int(row[1])
             entries[n] = a_n
     if not entries:

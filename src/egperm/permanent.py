@@ -121,7 +121,7 @@ def gperm_direct(g: OrientedGraph, p: int) -> int:
     """Graph permanent at p straight from the block incidence matrix."""
     spec = block_spec(g)
     n = spec.admissible_n(p)
-    m = reduced_incidence(g).rows
+    m = reduced_incidence(g)
     return block_perm_mod(m, n * spec.calV, n * spec.calE, p)
 
 
@@ -133,7 +133,7 @@ def gperm_reduced(g: OrientedGraph, p: int) -> int:
     """
     spec = block_spec(g)
     n = spec.admissible_n(p)
-    m = reduced_incidence(g).rows
+    m = reduced_incidence(g)
     reduced, _ = blockwise_row_reduce(m)
     r = m.shape[0]
     a_block = reduced[:, r:]

@@ -61,9 +61,8 @@ def permanent_polynomial(g: OrientedGraph) -> LinearFormProduct:
     """The vertex-form product F for g, over the calE-fold duplicated graph."""
     spec = block_spec(g)
     ge = duplicate_edges(g, spec.calE)
-    rows = reduced_incidence(ge).rows
     return LinearFormProduct(
-        coeffs=tuple(tuple(int(x) for x in row) for row in rows),
+        coeffs=tuple(map(tuple, reduced_incidence(ge).tolist())),
         power=spec.calV,
         num_vars=ge.edge_count,
     )
@@ -129,13 +128,14 @@ def point_count(g: OrientedGraph, p: int) -> int:
 def reconcile(g: OrientedGraph, p: int, gperm: int | None = None) -> dict:
     """Cross-check the two finite-field identities against the residue."""
     spec = block_spec(g)
+    # the oracles refuse a lattice over their caps before the permanent runs
+    coeff = coefficient_oracle(g, p)
+    count = point_count(g, p)
     if gperm is None:
         from .cofactor import gperm_cofactor
         gperm = gperm_cofactor(g, p)
     n = (p - 1) // spec.calV
     L = spec.L
-    coeff = coefficient_oracle(g, p)
-    count = point_count(g, p)
     scale = pow(mod_tables(p).fact[n], L, p)
     count_side = (-1) ** (L + 1) * scale * count % p
     return {

@@ -49,7 +49,6 @@ class EgpSequence:
     calV: int
     calE: int
     values: tuple[EgpValue, ...]
-    canonicalized: bool = False
 
     def primes(self) -> list[int]:
         return [v.prime for v in self.values]
@@ -141,11 +140,11 @@ def canonicalize_sign(s: EgpSequence) -> EgpSequence:
             flip = v.residue > v.prime - v.residue
             break
     if not flip:
-        return replace(s, canonicalized=True)
+        return s
     values = tuple(
         replace(v, residue=(v.prime - v.residue) % v.prime) if v.variate else v
         for v in s.values)
-    return EgpSequence(s.graph_id, s.calV, s.calE, values, canonicalized=True)
+    return replace(s, values=values)
 
 
 def sequences_equal(a: EgpSequence, b: EgpSequence) -> bool:
@@ -168,7 +167,7 @@ def sequence_from_row(graph_id: str, calV: int, calE: int,
     for p in sorted(row):
         n = (p - 1) // calV
         values.append(EgpValue(p, n, row[p] % p, _variate(n, calE)))
-    return EgpSequence(graph_id, calV, calE, tuple(values), canonicalized=True)
+    return EgpSequence(graph_id, calV, calE, tuple(values))
 
 
 # ---------------------------------------------------------------------------

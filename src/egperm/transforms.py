@@ -70,7 +70,8 @@ def _iso_maps(g1: OrientedGraph, g2: OrientedGraph):
     deg2 = [sum(row.values()) for row in a2]
     if sorted(deg1) != sorted(deg2):
         return
-    # order g1 vertices to keep the partial map connected where possible
+    # map g1 by descending degree, ties by index (a regular graph: 0..n-1);
+    # a candidate must agree on adjacency with every vertex mapped before it
     order = sorted(range(n), key=lambda v: -deg1[v])
     image = [-1] * n
     used = [False] * n

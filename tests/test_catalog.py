@@ -9,7 +9,7 @@ from egperm.catalog import (
     load_catalog,
     nonprimitive_4regular,
 )
-from egperm.graphs import format_graph, parse_graph
+from egperm.graphs import format_graph, parse_graph, triangles
 from egperm.numtheory import is_prime
 
 
@@ -43,6 +43,23 @@ def test_expected_relations_present():
     assert get_entry("P_7_4").relations["twist"] == "P_7_7"
     assert "P_8_32" in get_entry("P_8_3").relations["equal"]
     assert get_entry("P_1_1").completed_expression_file is not None
+
+
+def test_equal_rows_are_named_by_triangle_count():
+    # the catalog tool's naming rule: among classes with one row, the
+    # lower-numbered name goes to the class with more triangles
+    groups = {}
+    for e in load_catalog():
+        if e.has_edges:
+            groups.setdefault(tuple(sorted(e.row.items())), []).append(e)
+    tied = [g for g in groups.values() if len(g) > 1]
+    assert sorted([e.name for e in g] for g in tied) == [
+        ["P_6_1", "P_6_4"], ["P_7_4", "P_7_7"], ["P_7_5", "P_7_10"],
+        ["P_8_1", "P_8_40"]]
+    for group in tied:
+        group.sort(key=lambda e: int(e.name.split("_")[2]))
+        counts = [triangles(e.completed_graph()) for e in group]
+        assert all(a > b for a, b in zip(counts, counts[1:])), (group, counts)
 
 
 def test_completed_graphs_are_4_regular_connected():

@@ -112,6 +112,12 @@ def test_parse_rejects_garbage():
         parse_graph("not a graph")
 
 
+@pytest.mark.parametrize("text", ["V\n0 1\n", "V 2\nROT\n", "V 2\n0 x\n"])
+def test_parse_names_a_malformed_line(text):
+    with pytest.raises(GraphError, match="unparsable line"):
+        parse_graph(text)
+
+
 def test_components():
     g = OrientedGraph(4, ((0, 1), (2, 3)), 0)
     assert not g.is_connected()

@@ -87,3 +87,10 @@ def test_csv_round_trip(tmp_path):
     loaded = series_from_csv(str(path), label="roundtrip")
     assert loaded.label == "roundtrip"
     assert all(loaded.a(n) == s.a(n) for n in range(1, 32))
+
+
+def test_csv_one_field_row_rejected(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("n,a\n5\n")
+    with pytest.raises(ValueError, match="'5'"):
+        series_from_csv(str(path))

@@ -60,7 +60,7 @@ def test_block_perm_matches_materialized():
 
 def test_block_perm_mod_matches_exact():
     # K4 has calV = 2, calE = 1, so the block at p = 2n+1 is 1_{2n x n} (x) M
-    base = reduced_incidence(zigzag(4)).rows
+    base = reduced_incidence(zigzag(4))
     for p, n in ((5, 2), (13, 6)):
         exact = block_perm_exact(base, 2 * n, n)
         assert block_perm_mod(base, 2 * n, n, p) == exact % p
@@ -102,7 +102,7 @@ def test_repeated_rows_divisible_by_factorial():
 
 
 def test_blockwise_row_reduce_shape():
-    m = reduced_incidence(wheel(4)).rows
+    m = reduced_incidence(wheel(4))
     reduced, col_perm = blockwise_row_reduce(m)
     r = m.shape[0]
     assert sorted(col_perm) == list(range(m.shape[1]))

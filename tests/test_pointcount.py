@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 
+import egperm.cofactor as cofactor
 from egperm.cofactor import gperm_cofactor
 from egperm.graphs import (
     GraphError, banana, block_spec, build_graph, wheel, zigzag,
@@ -65,6 +66,15 @@ def test_mod2_point_count_even_for_doubled_ratio_graphs():
     for g in graphs:
         assert 2 * (g.vertex_count - 1) == g.edge_count
         assert point_count(g, 2) % 2 == 0
+
+
+def test_reconcile_checks_caps_before_the_permanent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cofactor, "gperm_cofactor",
+                        lambda g, p: calls.append(p) or 0)
+    with pytest.raises(GraphError):
+        reconcile(banana(2), 4001)  # 4001^2 coefficient entries
+    assert calls == []
 
 
 def test_lattice_caps():

@@ -13,11 +13,15 @@ bytes.  Steps:
 2. Filter the *primitive* completions: every vertex subset S with
    2 <= |S| <= n-2 has edge boundary >= 6 (the only 4-edge-cuts are
    vertex stars), and no 3 vertices disconnect the rest.
-3. Name each primitive class by matching the canonical residue row of
-   its decompletion (primes <= 13) against the published tables,
-   breaking ties via circulant isomorphism.  The rows of P_7_4/P_7_7
-   and of P_7_5/P_7_10 are equal, so by convention the class with more
-   triangles takes the lower-numbered name (6 vs 5 and 6 vs 4).
+3. Name the primitive classes by one rule.  Group the classes on n
+   vertices by the canonical residue row of a decompletion (primes
+   <= 13); each group takes the published (n-2)-loop names with that
+   row, in name order, the class with more triangles first.  Distinct
+   classes may share a row (twists and planar duals preserve it):
+   P_6_1/P_6_4 (8 vs 0 triangles), P_7_4/P_7_7 (6 vs 5), P_7_5/P_7_10
+   (6 vs 4).  The circulants in CIRCULANTS are checked against their
+   names by isomorphism; those on 10 vertices are named from the table
+   alone.  Every named row is then recomputed at another decompletion.
 4. Certify the recorded relations: find an explicit 4-cut whose twist
    maps P_7_4 to P_7_7, and a planar decompletion + rotation system
    exhibiting P_7_5 <-> P_7_10 duality.  networkx supplies the planar
@@ -42,7 +46,7 @@ DATA = ROOT / "src/egperm/data"
 sys.path.insert(0, str(ROOT / "src"))
 
 from egperm.graphs import (GraphError, OrientedGraph, build_graph, circulant,
-                           complete, decomplete)
+                           complete, decomplete, triangles)
 from egperm.sequences import canonicalize_sign, egp
 from egperm.transforms import (FourCutSpec, isomorphic, planar_dual,
                                schnetz_twist, symmetry_zero_predicate)
@@ -113,21 +117,18 @@ EQUAL_SETS = [["P_6_1", "P_6_4"], ["P_8_1", "P_8_10", "P_8_40"],
               ["P_8_3", "P_8_32"], ["P_8_6", "P_8_39"],
               ["P_8_30", "P_8_36"], ["P_8_31", "P_8_35"]]
 
+# name -> (n, a, b) of circulant(n, a, b)
+CIRCULANTS = {"P_3_1": (5, 1, 2), "P_4_1": (6, 1, 2), "P_5_1": (7, 1, 2),
+              "P_6_1": (8, 1, 2), "P_6_4": (8, 1, 3), "P_7_1": (9, 1, 2),
+              "P_7_11": (9, 1, 3), "P_8_1": (10, 1, 2),
+              "P_8_40": (10, 1, 4), "P_8_41": (10, 1, 3)}
+
 EXPECTED_CLASSES = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16}
 ETA = {"P_3_1": "-1 * eta(4)^6", "P_4_1": "eta(2)^4 * eta(4)^4",
        "P_6_1": "eta(2)^12", "P_6_4": "eta(2)^12"}
 COMMON = {"P_3_1": {"completed": "K5", "decompleted": "K4 (wheel W3)"},
           "P_4_1": {"completed": "octahedron", "decompleted": "wheel W4"},
           "P_6_4": {"decompleted": "K_{3,4}"}}
-
-
-def triangles(g: OrientedGraph) -> int:
-    """Number of triangles of a simple graph."""
-    adj = [set() for _ in range(g.vertex_count)]
-    for t, h in g.edges:
-        adj[t].add(h)
-        adj[h].add(t)
-    return sum(len(adj[t] & adj[h]) for t, h in g.edges) // 3
 
 
 def switches(g: OrientedGraph):
@@ -261,60 +262,26 @@ def derive_catalog() -> dict:
     named: dict[str, OrientedGraph] = {
         "P_1_1": build_graph([(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)], 3, 0),
     }
-    for name, n, spec in [("P_3_1", 5, (1, 2)), ("P_4_1", 6, (1, 2)),
-                          ("P_5_1", 7, (1, 2))]:
-        g = circulant(n, *spec)
-        match = next(c for c in primitive[n] if isomorphic(c, g))
-        named[name] = match
-
-    # 6 loops: match rows; split the equal pair by circulant type
-    row_lookup_6 = {}
-    for name in ("P_6_1", "P_6_2", "P_6_3", "P_6_4"):
-        row_lookup_6.setdefault(tuple(ROWS[name][:5]), []).append(name)
-    c812 = circulant(8, 1, 2)
-    c813 = circulant(8, 1, 3)
-    for g in primitive[8]:
-        row = tuple(canonical_row(decomplete(g, 0), MATCH_PRIMES))
-        cands = row_lookup_6[row]
-        if len(cands) == 1:
-            named[cands[0]] = g
-        elif isomorphic(g, c812):
-            named["P_6_1"] = g
+    for n in primitive:
+        groups: dict[tuple[int, ...], list[OrientedGraph]] = {}
+        for g in primitive[n]:
+            row = tuple(canonical_row(decomplete(g, 0), MATCH_PRIMES))
+            groups.setdefault(row, []).append(g)
+        for row, group in groups.items():
+            names = [name for name in ROWS if name.startswith(f"P_{n - 2}_")
+                     and tuple(ROWS[name][:5]) == row]
+            group.sort(key=triangles, reverse=True)
+            counts = [triangles(g) for g in group]
+            assert len(names) == len(group) and len(set(counts)) == len(counts), \
+                (names, counts)
+            named.update(zip(names, group))
+    for name, spec in CIRCULANTS.items():
+        g = circulant(*spec)
+        if name in named:
+            assert isomorphic(named[name], g), name
         else:
-            assert isomorphic(g, c813)
-            named["P_6_4"] = g
-
-    # 7 loops: match rows.  No row separates P_7_4 from P_7_7 or P_7_5
-    # from P_7_10, so in each tied pair the class with more triangles
-    # takes the lower-numbered name
-    row_lookup_7 = {}
-    for i in range(1, 12):
-        name = f"P_7_{i}"
-        row_lookup_7.setdefault(tuple(ROWS[name][:5]), []).append(name)
-    tied: dict[tuple[str, ...], list[OrientedGraph]] = {}
-    for g in primitive[9]:
-        row = tuple(canonical_row(decomplete(g, 0), MATCH_PRIMES))
-        cands = row_lookup_7[row]
-        if len(cands) == 1:
-            named[cands[0]] = g
-        else:
-            tied.setdefault(tuple(cands), []).append(g)
-    assert sorted(tied) == [("P_7_4", "P_7_7"), ("P_7_5", "P_7_10")], sorted(tied)
-    for names, pair in tied.items():
-        pair.sort(key=triangles, reverse=True)
-        assert len(pair) == 2 and triangles(pair[0]) > triangles(pair[1]), names
-        named.update(zip(names, pair))
-    assert isomorphic(named["P_7_1"], circulant(9, 1, 2))
-    assert isomorphic(named["P_7_11"], circulant(9, 1, 3))
+            named[name] = g
     print("named classes:", sorted(named))
-
-    # 8 loops: only the circulants are reconstructible from their names
-    for name, spec in [("P_8_1", (1, 2)), ("P_8_40", (1, 4)), ("P_8_41", (1, 3))]:
-        g = circulant(10, *spec)
-        row = canonical_row(decomplete(g, 0), MATCH_PRIMES)
-        assert row == ROWS[name][:5], (name, row)
-        named[name] = g
-    print("8-loop circulant rows verified")
 
     # spot-verify every named row at the matching primes
     for name, g in named.items():
@@ -353,7 +320,6 @@ def derive_catalog() -> dict:
 
     # symmetry-zero flags for all named classes
     szp = {name: any_decompletion_szp(g) for name, g in named.items()}
-    szp["P_1_1"] = symmetry_zero_predicate(decomplete(named["P_1_1"], 2))
     # the published list names P_3_1, P_7_5, P_7_9; the dual partner
     # P_7_10 shares P_7_5's sequence and also has a symmetric decompletion
     expected_szp = {"P_3_1", "P_7_5", "P_7_9", "P_7_10"}
@@ -364,6 +330,17 @@ def derive_catalog() -> dict:
     # ------------------------------------------------------------------
     # emit catalog.json
     # ------------------------------------------------------------------
+    # relations in both directions, between names that have rows
+    relations: dict[str, dict] = {}
+    for kind, pairs in (("twist", TWIST), ("dual", DUAL)):
+        for a, b in pairs.items():
+            if a in ROWS and b in ROWS:
+                relations.setdefault(a, {})[kind] = b
+                relations.setdefault(b, {})[kind] = a
+    for eq in EQUAL_SETS:
+        for name in eq:
+            relations.setdefault(name, {})["equal"] = [x for x in eq if x != name]
+
     expr_dir = DATA / "expressions"
     entries = []
     for name in ROWS:
@@ -376,7 +353,7 @@ def derive_catalog() -> dict:
             "calE": 1,
             "row": {str(p): r for p, r in zip(PRIMES_41, ROWS[name])},
             "completed": None,
-            "relations": {},
+            "relations": relations.get(name, {}),
         }
         if g is not None:
             entry["completed"] = {
@@ -384,19 +361,6 @@ def derive_catalog() -> dict:
                 "edges": [[t, h] for t, h in g.edges],
             }
             entry["symmetry_zero"] = szp.get(name, False)
-        if name in TWIST:
-            entry["relations"]["twist"] = TWIST[name]
-        for a, b in TWIST.items():
-            if b == name:
-                entry["relations"]["twist"] = a
-        if name in DUAL:
-            entry["relations"]["dual"] = DUAL[name]
-        for a, b in DUAL.items():
-            if b == name:
-                entry["relations"]["dual"] = a
-        for eq in EQUAL_SETS:
-            if name in eq:
-                entry["relations"]["equal"] = [x for x in eq if x != name]
         if (expr_dir / f"{name}.expr").exists():
             entry["expression"] = f"{name}.expr"
         if (expr_dir / f"completed_{name}.expr").exists():
@@ -405,10 +369,6 @@ def derive_catalog() -> dict:
             entry["eta_product"] = ETA[name]
         if name in COMMON:
             entry["common_names"] = COMMON[name]
-        # relations must reference entries that exist: twist/dual partners
-        # without a published row (hence no catalog entry) are dropped
-        entry["relations"] = {k: v for k, v in entry["relations"].items()
-                              if (set(v) if isinstance(v, list) else {v}) <= set(ROWS)}
         entries.append(entry)
 
     nonprimitive = []
