@@ -17,7 +17,7 @@ import os
 import random
 import sys
 
-from . import permanent
+from . import numtheory, permanent
 from .catalog import (CatalogError, certificates, get_entry, load_catalog,
                       load_expression)
 from .expressions import eval_expr
@@ -231,6 +231,7 @@ def cmd_modform(args) -> int:
 def cmd_closed_form(args) -> int:
     if args.family and (args.name or args.completed):
         raise ValueError("closed-form takes --family or --name [--completed], not both")
+    numtheory.check_bound(args.bound, numtheory.CLOSED_FORM_CAP)
     if args.family:
         calV = 1 if args.family == "tree" else 2
         primes = admissible_primes(calV, args.bound)

@@ -273,8 +273,9 @@ def decomplete(g: OrientedGraph, v: int) -> OrientedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Text format:  header "V <n> SPECIAL <k>", one "t h" pair per line,
-# optional "ROT v: e1 e2 ..." lines giving a rotation system, "#" comments.
+# Text format:  header "V <n>" or "V <n> SPECIAL <k>" (special vertex 0 by
+# default), one "t h" pair per line, optional "ROT v: e1 e2 ..." lines
+# giving a rotation system, "#" comments.
 # ---------------------------------------------------------------------------
 
 def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
@@ -288,13 +289,13 @@ def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
             continue
         parts = line.split()
         try:
-            if parts[0] == "V":
-                vertex_count = int(parts[1])
-                if len(parts) >= 4 and parts[2] == "SPECIAL":
-                    special = int(parts[3])
+            if parts[0] == "V" and len(parts) == 2:
+                vertex_count, special = int(parts[1]), 0
+            elif parts[0] == "V" and len(parts) == 4 and parts[2] == "SPECIAL":
+                vertex_count, special = int(parts[1]), int(parts[3])
             elif parts[0] == "ROT":
                 rotation[int(parts[1].rstrip(":"))] = [int(x) for x in parts[2:]]
-            else:
+            else:  # an edge; any other line fails int()
                 t, h = map(int, parts)  # exactly two fields
                 edges.append((t, h))
         except (IndexError, ValueError):

@@ -17,14 +17,20 @@ __all__ = [
 
 # largest prime bound of a graph-permanent sequence: each residue costs a
 # polynomial in p whose degree grows with the graph, so a larger bound
-# cannot finish; closed forms and point counts, linear in p, are not capped
+# cannot finish; point counts, at one prime, are not capped
 BOUND_CAP = 10_000
+# largest prime bound of `egp closed-form`: the wheel closed form and the
+# factorial table cost O(p) per prime, so a run grows like
+# bound^2 / log(bound); wheel(5) takes about 3 s at this bound on a 2-CPU
+# machine (stored expressions are bounded by their lattice cap instead)
+CLOSED_FORM_CAP = 10_000
 
 
-def check_bound(bound: int) -> None:
-    """ValueError if ``bound`` exceeds ``BOUND_CAP``."""
-    if bound > BOUND_CAP:
-        raise ValueError(f"prime bound {bound} exceeds the limit {BOUND_CAP}")
+def check_bound(bound: int, cap: int | None = None) -> None:
+    """ValueError if ``bound`` exceeds ``cap`` (default ``BOUND_CAP``)."""
+    cap = BOUND_CAP if cap is None else cap
+    if bound > cap:
+        raise ValueError(f"prime bound {bound} exceeds the limit {cap}")
 
 
 def is_prime(n: int) -> bool:

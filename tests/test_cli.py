@@ -160,6 +160,19 @@ def test_absurd_bound_exits_2(capsys, monkeypatch):
     assert code == 0
 
 
+def test_closed_form_bound_cap_exits_2(capsys, monkeypatch):
+    # closed forms have a cap of their own, checked before the sieve
+    monkeypatch.setattr(numtheory, "CLOSED_FORM_CAP", 50)
+    for source in (("--family", "tree"), ("--name", "P_3_1")):
+        code, out, err = run(capsys, "closed-form", *source, "--bound", "60")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "60" in err and "50" in err
+    code, _, _ = run(capsys, "closed-form", "--family", "tree", "--bound", "50")
+    assert code == 0
+
+
 def test_bound_cap_spares_cheap_commands(capsys, monkeypatch):
     # closed forms and point counts are linear in p and not capped
     monkeypatch.setattr(numtheory, "BOUND_CAP", 50)

@@ -1,8 +1,28 @@
+import signal
+from contextlib import contextmanager
+from importlib import resources
+
 import pytest
 
 from egperm.catalog import get_entry, load_expression
 from egperm.expressions import eval_expr, format_expr, parse_expr
+from egperm.graphs import block_spec
+from egperm.numtheory import admissible_primes
 from egperm.sequences import canonicalize_sign, sequence_from_row
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_completed_one_loop_values():
@@ -29,12 +49,20 @@ def test_decompletion_expression_matches_stored_row():
 
 
 def test_format_parse_round_trip():
-    for name, calV in (("P_3_1.expr", 2), ("P_6_3.expr", 2),
-                       ("completed_P_3_1.expr", 5)):
+    files = sorted(f.name for f in
+                   (resources.files("egperm.data") / "expressions").iterdir()
+                   if f.name.endswith(".expr"))
+    assert len(files) == 22
+    for name in files:
+        entry = get_entry(name.removeprefix("completed_").removesuffix(".expr"))
+        # a completed expression is indexed by the completed graph's calV
+        calV = (block_spec(entry.completed_graph()).calV
+                if name.startswith("completed_") else entry.calV)
         e = load_expression(name, calV=calV)
         e2 = parse_expr(format_expr(e), calV=calV)
-        for p in (11, 31):
-            assert eval_expr(e, p) == eval_expr(e2, p)
+        assert e2 == e, name
+        for p in admissible_primes(calV, 37)[-2:]:
+            assert eval_expr(e, p) == eval_expr(e2, p), (name, p)
 
 
 def test_parse_rejects_garbage():
@@ -42,6 +70,28 @@ def test_parse_rejects_garbage():
         parse_expr("SUM { SIGN")
     with pytest.raises(ValueError):
         parse_expr("hello world")
+
+
+@pytest.mark.parametrize("text", [
+    "SUM x0 { BINOM(n, *) } PREFACTOR fact(0)",
+    "SUM x0 { BINOM(n x0, x0) } PREFACTOR fact(0)",
+    "SUM x0 { BINOM(n, x0) } PREFACTOR SIGN(x0)",
+    "SUM n { BINOM(n, n) } PREFACTOR fact(0)",
+    "SUM x0 x0 { BINOM(n, x0) } PREFACTOR fact(0)",
+    "SUM x0 BINOM",
+])
+def test_malformed_expression_raises_promptly(text):
+    with deadline(1), pytest.raises(ValueError):
+        parse_expr(text)
+
+
+def test_range_may_precede_the_factorials():
+    with deadline(1):
+        e = parse_expr("SUM x0 { BINOM(n, x0) } PREFACTOR RANGE n fact(2n)")
+        twin = parse_expr("SUM x0 { BINOM(n, x0) } PREFACTOR fact(2n) RANGE n")
+        assert e == twin
+        for p in (5, 7, 11):
+            assert eval_expr(e, p) == eval_expr(twin, p)
 
 
 def test_undeclared_variable_rejected():

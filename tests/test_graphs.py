@@ -112,7 +112,9 @@ def test_parse_rejects_garbage():
         parse_graph("not a graph")
 
 
-@pytest.mark.parametrize("text", ["V\n0 1\n", "V 2\nROT\n", "V 2\n0 x\n"])
+@pytest.mark.parametrize("text", ["V\n0 1\n", "V 2\nROT\n", "V 2\n0 x\n",
+                                  "V 3 SPECIAL\n", "V 3 SPECAIL 2\n",
+                                  "V 3 SPECIAL 1 junk\n"])
 def test_parse_names_a_malformed_line(text):
     with pytest.raises(GraphError, match="unparsable line"):
         parse_graph(text)
