@@ -27,8 +27,8 @@ from .modform import compare, eta_expand, parse_eta_product, residue_row, series
 from .numtheory import admissible_primes
 from .pointcount import reconcile
 from .sequences import (ALGORITHMS, EgpSequence, canonicalize_sign,
-                        closed_form_tree, closed_form_wheel, closed_form_zigzag,
-                        egp, sequence_from_row, sequences_equal)
+                        check_zigzag_work, closed_form_tree, closed_form_wheel,
+                        closed_form_zigzag, egp, sequence_from_row, sequences_equal)
 from .transforms import FourCutSpec, isomorphic, planar_dual, schnetz_twist
 
 
@@ -232,6 +232,8 @@ def cmd_closed_form(args) -> int:
     if args.family and (args.name or args.completed):
         raise ValueError("closed-form takes --family or --name [--completed], not both")
     numtheory.check_bound(args.bound, numtheory.CLOSED_FORM_CAP)
+    if args.family == "zigzag":
+        check_zigzag_work(args.size, args.bound)
     if args.family:
         calV = 1 if args.family == "tree" else 2
         primes = admissible_primes(calV, args.bound)

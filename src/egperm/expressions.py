@@ -23,10 +23,12 @@ A linear form is terms joined by ``+`` or ``-``, after an optional ``-``;
 a term is an optional integer and an optional name, at least one of the
 two, e.g. ``2n - x0 - x1 + 1``.  Each parser step takes a token, and a
 token out of place raises ``ValueError`` naming it.  Evaluation is a
-dense numpy lattice over the variable ranges (``np.indices``), mod p:
-each binomial is raised to its power by a lookup in ``ModTables.powers``
-and the signed term is summed over the whole lattice, so a variable that
-no factor mentions still counts its range.
+dense numpy lattice over the variable ranges (``np.indices``), summed in
+the discrete-log domain of F_p^* as ``permanent.block_perm_mod`` is: each
+lattice point holds the sum of the logs of its factors, and one histogram
+of those sums gives the total (``ModTables.exp_sum``).  The sum runs over
+the whole lattice, so a variable that no factor mentions still counts its
+range.
 """
 
 from __future__ import annotations
@@ -215,7 +217,14 @@ def format_expr(e: BinomialSumExpr) -> str:
 
 
 def eval_expr(e: BinomialSumExpr, p: int) -> int:
-    """Residue of the closed form at prime p = calV*n + 1."""
+    """Residue of the closed form at prime p = calV*n + 1.
+
+    Each ``BINOM(t, b)^k`` adds ``k * (log t! + log 1/b! + log 1/(t-b)!)``
+    from the cached ``ModTables.log_fact`` and ``log_inv_fact`` arrays, and
+    an odd ``SIGN`` adds ``log(-1) = (p-1)/2``.  An out-of-range binomial
+    adds a sentinel above every sum of nonzero factors, unless k = 0
+    (``0^0 = 1``).  The sums live in the narrowest signed dtype that holds
+    them."""
     n = admissible_n(e.calV, p)
     if len(e.variables) > MAX_VARS:
         raise ValueError(f"too many summation variables ({len(e.variables)} > {MAX_VARS})")
@@ -236,17 +245,22 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
 
     shape = (max(bound + 1, 0),) * k
     grids = dict(zip(e.variables, np.indices(shape, sparse=True)))
-    fact_t = np.array(tb.fact, dtype=np.int64)
-    ifact_t = np.array(tb.inv_fact, dtype=np.int64)
-    term = 1
-    for f in e.factors:
+    factors = [f for f in e.factors if f.power]  # BINOM(...)^0 is 1, even out of range
+    m = p - 1
+    # each factor adds power * three logs in [0, p-2], the sign adds (p-1)/2
+    # (the log of -1); an out-of-range binomial adds `zero` instead, so a
+    # sum reaches `zero` iff a factor is 0, and every sum, like `zero`
+    # itself, is at most (len(factors) + 1) * zero
+    zero = tb.zero_log(3 * (p - 2) * sum(f.power for f in factors) + m // 2)
+    dt = tb.log_dtype((len(factors) + 1) * zero)
+    log_fact, log_inv_fact = tb.log_fact.astype(dt), tb.log_inv_fact.astype(dt)
+    logs = np.zeros((), dtype=dt)
+    for f in factors:
         t, b = np.broadcast_arrays(f.top.value(n, grids), f.bottom.value(n, grids))
-        # out-of-range binomials are zero: look up C(0, 0), then mask
         ok = (0 <= b) & (b <= t) & (t < p)
         t, b = t * ok, b * ok
-        binom = fact_t[t] * ifact_t[b] % p * ifact_t[t - b] % p * ok
-        term = term * tb.powers(f.power)[binom] % p
-    # every entry is in (-p, p), so the int64 sum is exact under MAX_LATTICE
-    term = term * (1 - 2 * (e.sum_sign.value(n, grids) % 2))
-    total = int(np.broadcast_to(term, shape).sum() % p)
-    return pref * total % p
+        log_binom = log_fact[t] + log_inv_fact[b] + log_inv_fact[t - b]
+        logs = logs + np.where(ok, f.power * log_binom, zero)
+    sign = np.asarray(e.sum_sign.value(n, grids)) % 2
+    logs = logs + (sign * (m // 2)).astype(dt)
+    return pref * tb.exp_sum(np.broadcast_to(logs, shape), zero) % p

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,9 +71,32 @@ def admissible_n(calV: int, p: int) -> int:
     return (p - 1) // calV
 
 
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p."""
+    m, factors, f = p - 1, [], 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 class ModTables:
     """Factorials, inverse factorials, binomials, falling factorials and
-    power tables mod p."""
+    power tables mod p, and discrete-log tables of F_p^*.
+
+    The log tables work in the exponent group Z/(p-1): with ``g`` the least
+    primitive root, ``exp[k] = g^k`` and ``log[exp[k]] = k``, so a product
+    of nonzero residues is the ``exp`` of the sum of their logs mod p-1.
+    ``log``, ``exp``, ``log_fact`` and ``log_inv_fact`` are int64 arrays
+    built on first use, so a caller that never reads them never pays for
+    them; ``log[0]`` is 0 and means nothing (zero has no log).
+    """
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -105,6 +128,61 @@ class ModTables:
         """int64 array of ``pow(x, k, p)`` for x = 0..p-1; index it with an
         array of residues to raise every entry to the power k."""
         return np.array([pow(x, k, self.p) for x in range(self.p)], dtype=np.int64)
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """``g^k mod p`` for k = 0..p-2."""
+        g, out = _primitive_root(self.p), [1] * (self.p - 1)
+        for k in range(1, self.p - 1):
+            out[k] = out[k - 1] * g % self.p
+        return np.array(out, dtype=np.int64)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """The discrete log of x = 1..p-1 in [0, p-2], at index x."""
+        out = np.zeros(self.p, dtype=np.int64)
+        out[self.exp] = np.arange(self.p - 1)
+        return out
+
+    @cached_property
+    def log_fact(self) -> np.ndarray:
+        """``log(t!)`` for t = 0..p-1, in [0, p-2]."""
+        return np.concatenate(([0], np.cumsum(self.log[1:]) % (self.p - 1)))
+
+    @cached_property
+    def log_inv_fact(self) -> np.ndarray:
+        """``log(1/t!)`` for t = 0..p-1, in [0, p-2]."""
+        return -self.log_fact % (self.p - 1)
+
+    @staticmethod
+    def log_dtype(largest: int) -> np.dtype:
+        """The narrowest signed integer dtype that holds 0..largest;
+        ValueError beyond int64."""
+        dt = np.min_scalar_type(-largest - 1)
+        if dt.kind != "i":
+            raise ValueError(f"log sums up to {largest} overflow int64")
+        return dt
+
+    def zero_log(self, largest: int) -> int:
+        """The sentinel log of a zero factor: the least multiple of p-1
+        above ``largest``, the largest log sum without a zero factor."""
+        return (largest // (self.p - 1) + 1) * (self.p - 1)
+
+    def exp_sum(self, logs: np.ndarray, zero: int) -> int:
+        """``sum(g^l for l in logs) mod p``, where an entry ``l >= zero``
+        stands for a product with a zero factor and adds nothing.
+
+        ``zero`` comes from ``zero_log``, and ``logs`` is of a dtype that
+        holds it.  One ``bincount`` of the entries clipped at ``zero``
+        counts each sum, and the counts fold onto the exponents mod p-1.
+        The total is exact in int64: the folded counts and ``exp`` are below
+        p, so each product is below p^2, and the p-1 products, each reduced
+        below p again, sum below p^2.
+        """
+        m = self.p - 1
+        counts = np.bincount(np.minimum(logs, zero).ravel(), minlength=zero + 1)
+        folded = counts[:zero].reshape(-1, m).sum(axis=0)
+        return int((folded % self.p * self.exp % self.p).sum() % self.p)
 
 
 @lru_cache(maxsize=128)

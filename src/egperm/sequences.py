@@ -13,6 +13,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .cofactor import cheapest_special, gperm_cofactor
 from .graphs import OrientedGraph, block_spec
 from .numtheory import admissible_primes, check_bound, mod_tables
@@ -28,6 +30,7 @@ __all__ = [
     "closed_form_tree",
     "closed_form_wheel",
     "closed_form_zigzag",
+    "check_zigzag_work",
 ]
 
 ALGORITHMS = ("direct", "reduced", "cofactor", "auto")
@@ -200,35 +203,48 @@ def closed_form_wheel(w: int, p: int) -> int:
     return total
 
 
+# largest work estimate of `egp closed-form --family zigzag`: a chain step
+# at p = 2n+1 is a convolution of n*n multiply-adds, plus a fixed numpy
+# overhead worth about 10^5 of them, and there are size - 3 steps at each
+# prime; summing p^2 + 10^5 over every p <= bound overestimates both, and
+# the largest run allowed takes a few seconds on a 2-CPU machine
+ZIGZAG_WORK_CAP = 2 * 10 ** 11
+
+
+def check_zigzag_work(size: int, bound: int) -> None:
+    """ValueError if the zig-zag closed forms of ``size`` vertices at the
+    primes up to ``bound`` would exceed ``ZIGZAG_WORK_CAP``."""
+    work = (size - 3) * bound * (bound ** 2 + 10 ** 5)
+    if work > ZIGZAG_WORK_CAP:
+        raise ValueError(f"zig-zag closed form of size {size} up to bound {bound} "
+                         f"costs about {work:.1e} multiply-adds, over the limit "
+                         f"{ZIGZAG_WORK_CAP:.0e}")
+
+
 def closed_form_zigzag(m: int, p: int) -> int:
     """Zig-zag closed form at p = 2n+1:
     (-1)^(m-1) * sum over k_1+..+k_{m-1}=n of
-    prod C(n,k_i) * prod_{i<=m-3} C(n - k_{i+1}, k_1+..+k_i)."""
+    prod C(n,k_i) * prod_{i<=m-3} C(n - k_{i+1}, k_1+..+k_i).
+
+    A DP over the prefix sum S = k_1+..+k_i, with n+1 states.  Each chain
+    step multiplies by the trinomial C(n,k) C(n-k,S) = n! / (k! S! (n-k-S)!),
+    so it is one convolution truncated at n: with T = S + k,
+    ``f'[T] = n!/(n-T)! * sum_{S+k=T} (f[S]/S!) (1/k!)``.  The int64
+    convolution is exact while (n+1)(p-1)^2 < 2^63."""
     if p % 2 == 0 or p < 3:
         raise ValueError("zig-zag closed form needs an odd prime")
     if m < 4:
         raise ValueError("zig-zag needs >= 4 vertices")
     n = (p - 1) // 2
+    if (n + 1) * (p - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"zig-zag closed form at p = {p} overflows int64")
     tb = mod_tables(p)
-    total = 0
-
-    def rec(i: int, remaining: int, prefix_sum: int, acc: int):
-        nonlocal total
-        if acc == 0:
-            return
-        if i == m - 2:
-            k_last = remaining
-            total = (total + acc * tb.binom(n, k_last)) % p
-            return
-        for k in range(remaining + 1):
-            term = acc * tb.binom(n, k) % p
-            if term and 1 <= i <= m - 3:
-                # the chain binomial uses k_{i+1} with the sum of k_1..k_i
-                term = term * tb.binom(n - k, prefix_sum) % p
-            if term:
-                rec(i + 1, remaining - k, prefix_sum + k, term)
-
-    rec(0, n, 0, 1)
-    if (m - 1) % 2:
-        total = (-total) % p
-    return total % p
+    inv = np.array(tb.inv_fact[: n + 1], dtype=np.int64)
+    falling = tb.fact[n] * inv[::-1] % p           # n!/(n-T)! for T = 0..n
+    binom_n = falling * inv % p                    # C(n, S), the k_1 step
+    f = binom_n
+    for _ in range(m - 3):
+        f = falling * (np.convolve(f * inv % p, inv)[: n + 1] % p) % p
+    # the last part is k_{m-1} = n - S, with C(n, n - S) = C(n, S)
+    total = int((f * binom_n).sum() % p)
+    return (-total) % p if (m - 1) % 2 else total

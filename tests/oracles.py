@@ -4,7 +4,9 @@
 ``perm_mod`` run Ryser's inclusion-exclusion with Gray-code row-sum
 updates.  ``RYSER_CAP`` bounds the latter.  ``block_perm_exact`` is the
 exact integer block Ryser over the column-multiplicity lattice, the
-oracle of ``egperm.permanent.block_perm_mod``.
+oracle of ``egperm.permanent.block_perm_mod``.  ``eval_expr_brute`` and
+``closed_form_zigzag_rec`` are the term-by-term oracles of
+``egperm.expressions.eval_expr`` and ``egperm.sequences.closed_form_zigzag``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from egperm.numtheory import mod_tables
 from egperm.permanent import DimensionCapError
 
 RYSER_CAP = 28          # max columns for the subset-walk Ryser
@@ -87,8 +90,8 @@ def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
     r, c = base.shape
     if row_reps * r != col_reps * c:
         raise ValueError(f"block matrix {row_reps}*{r} x {col_reps}*{c} is not square")
-    if c == 0:
-        return 1
+    if row_reps * r == 0:
+        return 1  # the empty matrix
     a, b = row_reps, col_reps
     n_total = a * r
     binom = [math.comb(b, s) for s in range(b + 1)]
@@ -113,3 +116,49 @@ def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
         if prod:
             total += -prod if sum(s) % 2 else prod
     return total if n_total % 2 == 0 else -total
+
+
+def eval_expr_brute(e, p: int) -> int:
+    """``eval_expr`` term by term: one ``itertools.product`` point at a time,
+    with ``math.comb``; a binomial is zero unless 0 <= bottom <= top < p."""
+    n = (p - 1) // e.calV
+    total = 0
+    for xs in product(range(e.range_bound.value(n) + 1), repeat=len(e.variables)):
+        env = dict(zip(e.variables, xs))
+        term = -1 if e.sum_sign.value(n, env) % 2 else 1
+        for f in e.factors:
+            t, b = f.top.value(n, env), f.bottom.value(n, env)
+            term *= (math.comb(t, b) if 0 <= b <= t < p else 0) ** f.power
+        total += term
+    if e.prefactor_sign.value(n) % 2:
+        total = -total
+    for arg, power in e.fact_powers:
+        total *= pow(math.factorial(arg.value(n)), power, p)
+    return total % p
+
+
+def closed_form_zigzag_rec(m: int, p: int) -> int:
+    """The zig-zag closed form at p = 2n+1 by recursion over k_1..k_{m-1}:
+    (-1)^(m-1) * sum over k_1+..+k_{m-1}=n of
+    prod C(n,k_i) * prod_{i<=m-3} C(n - k_{i+1}, k_1+..+k_i)."""
+    n = (p - 1) // 2
+    tb = mod_tables(p)
+    total = 0
+
+    def rec(i: int, remaining: int, prefix_sum: int, acc: int):
+        nonlocal total
+        if acc == 0:
+            return
+        if i == m - 2:
+            total = (total + acc * tb.binom(n, remaining)) % p
+            return
+        for k in range(remaining + 1):
+            term = acc * tb.binom(n, k) % p
+            if term and 1 <= i <= m - 3:
+                # the chain binomial uses k_{i+1} with the sum of k_1..k_i
+                term = term * tb.binom(n - k, prefix_sum) % p
+            if term:
+                rec(i + 1, remaining - k, prefix_sum + k, term)
+
+    rec(0, n, 0, 1)
+    return (-total) % p if (m - 1) % 2 else total

@@ -173,6 +173,22 @@ def test_closed_form_bound_cap_exits_2(capsys, monkeypatch):
     assert code == 0
 
 
+def test_zigzag_work_limit_exits_2(capsys):
+    # the zig-zag DP costs (size - 3) convolutions per prime: a long chain or
+    # a large bound is refused before any prime is sieved
+    for size, bound in (("10000000", "5"), ("5", "10000")):
+        code, out, err = run(capsys, "closed-form", "--family", "zigzag",
+                             "--size", size, "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert size in err and bound in err
+    code, out, _ = run(capsys, "closed-form", "--family", "zigzag",
+                       "--size", "5", "--bound", "400", "--json")
+    assert code == 0
+    assert json.loads(out)["primes"][-1] == 397
+
+
 def test_bound_cap_spares_cheap_commands(capsys, monkeypatch):
     # closed forms and point counts are linear in p and not capped
     monkeypatch.setattr(numtheory, "BOUND_CAP", 50)

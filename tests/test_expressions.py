@@ -9,6 +9,7 @@ from egperm.expressions import eval_expr, format_expr, parse_expr
 from egperm.graphs import block_spec
 from egperm.numtheory import admissible_primes
 from egperm.sequences import canonicalize_sign, sequence_from_row
+from oracles import eval_expr_brute
 
 
 @contextmanager
@@ -48,7 +49,8 @@ def test_decompletion_expression_matches_stored_row():
     assert seq.residues() == entry.row_sequence().residues()
 
 
-def test_format_parse_round_trip():
+def stored_expressions():
+    """(file name, expression) for all 22 stored expression files."""
     files = sorted(f.name for f in
                    (resources.files("egperm.data") / "expressions").iterdir()
                    if f.name.endswith(".expr"))
@@ -58,10 +60,14 @@ def test_format_parse_round_trip():
         # a completed expression is indexed by the completed graph's calV
         calV = (block_spec(entry.completed_graph()).calV
                 if name.startswith("completed_") else entry.calV)
-        e = load_expression(name, calV=calV)
-        e2 = parse_expr(format_expr(e), calV=calV)
+        yield name, load_expression(name, calV=calV)
+
+
+def test_format_parse_round_trip():
+    for name, e in stored_expressions():
+        e2 = parse_expr(format_expr(e), calV=e.calV)
         assert e2 == e, name
-        for p in admissible_primes(calV, 37)[-2:]:
+        for p in admissible_primes(e.calV, 37)[-2:]:
             assert eval_expr(e, p) == eval_expr(e2, p), (name, p)
 
 
@@ -120,9 +126,39 @@ def test_sum_without_variables_keeps_its_factors():
     assert eval_expr(e, 5) == -(2 ** 3) * 2 % 5
 
 
+def test_sum_without_factors_at_a_large_prime():
+    # no factor: the sentinel, 130 at p = 131, still fits the sums' dtype
+    e = parse_expr("SUM x0 { SIGN x0; } PREFACTOR fact(0) RANGE n + 1")
+    assert eval_expr(e, 131) == 1
+
+
 def test_negative_binom_power_rejected():
     with pytest.raises(ValueError, match="BINOM power"):
         parse_expr("SUM x0 { BINOM(n, x0)^-1 } PREFACTOR fact(0)")
     # a negative factorial power is a modular inverse, and stays valid
     e = parse_expr("SUM x0 { BINOM(n, x0) } PREFACTOR fact(n)^-1")
     assert eval_expr(e, 5) == 4 * pow(2, -1, 5) % 5
+
+
+def test_stored_expressions_match_brute_force():
+    # the log-domain lattice sum against a term-by-term sum, at small primes
+    for name, e in stored_expressions():
+        for p in admissible_primes(e.calV, 31)[:3]:
+            assert eval_expr(e, p) == eval_expr_brute(e, p), (name, p)
+
+
+@pytest.mark.parametrize("text", [
+    # a ^0 factor is 1 even where its binomial is out of range
+    "SUM x0 x1 { BINOM(n, x0)^0 * BINOM(n - 1, x1 + 2)^0 * BINOM(n, x0 + x1) } PREFACTOR fact(0)",
+    # out-of-range binomials: negative bottom, bottom above top, top >= p
+    "SUM x0 x1 { BINOM(n, x0 - 1) * BINOM(x0 + x1, x1)^2 } PREFACTOR fact(n) RANGE 2n",
+    # signs under the sum and outside it, with a negative factorial power
+    "SUM x0 x1 { SIGN x0 + 3 x1 + n; BINOM(2n, x0 + x1)^3 * BINOM(n, x1) } "
+    "PREFACTOR fact(n)^-2 SIGN(n + 1) RANGE 2n",
+    "SUM { SIGN n; } PREFACTOR fact(n)",
+])
+def test_hand_written_expressions_match_brute_force(text):
+    for calV in (1, 2, 3):
+        e = parse_expr(text, calV=calV)
+        for p in admissible_primes(calV, 23):
+            assert eval_expr(e, p) == eval_expr_brute(e, p), (calV, p)

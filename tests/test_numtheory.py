@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from egperm.numtheory import admissible_primes, is_prime, mod_tables, primes_upto
+from egperm.numtheory import (ModTables, admissible_primes, is_prime, mod_tables,
+                              primes_upto)
 
 
 def test_is_prime_small():
@@ -51,3 +53,30 @@ def test_wilson_central_square():
 def test_mod_tables_requires_prime():
     with pytest.raises(ValueError):
         mod_tables(9)
+
+
+def test_discrete_log_tables():
+    for p in (2, 3, 13, 101):
+        tb = mod_tables(p)
+        assert sorted(tb.exp.tolist()) == list(range(1, p))  # g generates F_p^*
+        for x in range(1, p):
+            assert tb.exp[tb.log[x]] == x
+        for t in range(p):
+            assert tb.exp[tb.log_fact[t]] == tb.fact[t]
+            assert tb.exp[tb.log_inv_fact[t]] == tb.inv_fact[t]
+
+
+def test_exp_sum_counts_zero_sentinel_as_nothing():
+    tb = mod_tables(7)
+    # the sentinel is the least multiple of p - 1 above the largest sum
+    assert (tb.zero_log(0), tb.zero_log(11), tb.zero_log(12)) == (6, 12, 18)
+    # logs 0, 1, 7 (= 1 mod 6) and the sentinel 12: 1 + 3 + 3 + 0
+    logs = np.array([0, 1, 7, 12, 30], dtype=np.int8)
+    assert tb.exp_sum(logs, 12) == (1 + 3 + 3) % 7
+
+
+def test_log_dtype_is_narrowest_signed():
+    assert [ModTables.log_dtype(x) for x in (0, 127, 128, 2 ** 15, 2 ** 31)] == [
+        np.int8, np.int8, np.int16, np.int32, np.int64]
+    with pytest.raises(ValueError):
+        ModTables.log_dtype(2 ** 63)

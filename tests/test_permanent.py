@@ -91,6 +91,28 @@ def test_block_perm_mod_matches_exact_random(case):
         assert block_perm_mod(base, a, b, p) == exact % p, p
 
 
+@settings(max_examples=100, deadline=None)
+@given(block_bases())
+def test_block_perm_mod_transpose_invariant(case):
+    # perm(1_{a x b} (x) M) = perm(1_{b x a} (x) M^T), whichever side is enumerated
+    base, a, b = case
+    for p in (2, 5, 11, 13):
+        assert block_perm_mod(base, a, b, p) == block_perm_mod(base.T, b, a, p), p
+
+
+def test_block_perm_mod_edge_cases():
+    # a = b = 0, or a base without rows, is the empty matrix: permanent 1
+    for p in (2, 3, 7):
+        assert block_perm_mod(np.ones((2, 3), dtype=np.int64), 0, 0, p) == 1
+        assert block_perm_mod(np.zeros((0, 2), dtype=np.int64), 5, 0, p) == 1
+    # p = 2, where p - 1 = 1 and every discrete log is 0
+    for base in ([[1, 1], [0, 1]], [[1, 1], [1, 1]], [[1, -1], [1, 1]]):
+        assert block_perm_mod(base, 1, 1, 2) == block_perm_exact(base, 1, 1) % 2
+    # at p = 40009 the log sums of a 1 x 2 base pass 2^15, so need int32
+    base = np.array([[1, 2]], dtype=np.int64)
+    assert block_perm_mod(base, 6, 3, 40009) == block_perm_exact(base, 6, 3) % 40009
+
+
 def test_repeated_rows_divisible_by_factorial():
     # a matrix with k equal rows has permanent divisible by k!
     rng = np.random.default_rng(5)

@@ -14,6 +14,7 @@ from egperm.graphs import (
     wheel,
     zigzag,
 )
+from egperm.numtheory import primes_upto
 from egperm.permanent import gperm_direct
 from egperm.sequences import (
     canonicalize_sign,
@@ -24,6 +25,7 @@ from egperm.sequences import (
     sequence_from_row,
     sequences_equal,
 )
+from oracles import closed_form_zigzag_rec
 
 K4_EDGES = zigzag(4).edges
 
@@ -107,6 +109,12 @@ def test_zigzag_closed_form_k4():
     row = {p: closed_form_zigzag(4, p) for p in (3, 5, 7, 11, 13)}
     assert sequences_equal(sequence_from_row("cf", 2, 1, row),
                            egp(zigzag(4), 13))
+
+
+def test_zigzag_dp_matches_recursion():
+    for m in (4, 5, 6, 7):
+        for p in primes_upto(43)[1:]:
+            assert closed_form_zigzag(m, p) == closed_form_zigzag_rec(m, p), (m, p)
 
 
 def test_closed_form_argument_validation():

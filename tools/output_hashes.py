@@ -1,0 +1,41 @@
+"""Print the exit code and the sha256 of standard output of the three `egp`
+runs whose output a change that keeps the residues must leave
+byte-identical: both appendix tables at bound 41 and every verify suite.
+
+Usage: python tools/output_hashes.py
+
+It runs `egp` from this checkout's `src/`, takes no options, and exits 1
+if any of the runs exits with a nonzero code.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = (
+    ("table", "--appendix", "A", "--bound", "41"),
+    ("table", "--appendix", "B", "--bound", "41"),
+    ("verify", "--suite", "all"),
+)
+
+
+def main() -> int:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), path] if path else [str(SRC)]))
+    failed = False
+    for args in RUNS:
+        run = subprocess.run([sys.executable, "-m", "egperm.cli", *args],
+                             env=env, stdout=subprocess.PIPE, check=False)
+        digest = hashlib.sha256(run.stdout).hexdigest()
+        print(f"egp {' '.join(args)}: exit {run.returncode} sha256 {digest}")
+        failed |= run.returncode != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
