@@ -12,12 +12,13 @@ __all__ = [
     "admissible_primes",
     "admissible_n",
     "check_bound",
+    "primitive_root",
     "ModTables",
 ]
 
 # largest prime bound of a graph-permanent sequence: each residue costs a
 # polynomial in p whose degree grows with the graph, so a larger bound
-# cannot finish; point counts, at one prime, are not capped
+# cannot finish; point counts, at one prime, have lattice caps of their own
 BOUND_CAP = 10_000
 # largest prime bound of `egp closed-form`: the wheel closed form and the
 # factorial table cost O(p) per prime, so a run grows like
@@ -71,7 +72,7 @@ def admissible_n(calV: int, p: int) -> int:
     return (p - 1) // calV
 
 
-def _primitive_root(p: int) -> int:
+def primitive_root(p: int) -> int:
     """The least generator of the multiplicative group mod the prime p."""
     m, factors, f = p - 1, [], 2
     while f * f <= m:
@@ -87,8 +88,8 @@ def _primitive_root(p: int) -> int:
 
 
 class ModTables:
-    """Factorials, inverse factorials, binomials, falling factorials and
-    power tables mod p, and discrete-log tables of F_p^*.
+    """Factorials, inverse factorials, binomials and falling factorials
+    mod p, and discrete-log tables of F_p^*.
 
     The log tables work in the exponent group Z/(p-1): with ``g`` the least
     primitive root, ``exp[k] = g^k`` and ``log[exp[k]] = k``, so a product
@@ -124,15 +125,10 @@ class ModTables:
             return 0
         return self.fact[a] * self.inv_fact[a - b] % self.p
 
-    def powers(self, k: int) -> np.ndarray:
-        """int64 array of ``pow(x, k, p)`` for x = 0..p-1; index it with an
-        array of residues to raise every entry to the power k."""
-        return np.array([pow(x, k, self.p) for x in range(self.p)], dtype=np.int64)
-
     @cached_property
     def exp(self) -> np.ndarray:
         """``g^k mod p`` for k = 0..p-2."""
-        g, out = _primitive_root(self.p), [1] * (self.p - 1)
+        g, out = primitive_root(self.p), [1] * (self.p - 1)
         for k in range(1, self.p - 1):
             out[k] = out[k - 1] * g % self.p
         return np.array(out, dtype=np.int64)
@@ -185,6 +181,9 @@ class ModTables:
         return int((folded % self.p * self.exp % self.p).sum() % self.p)
 
 
-@lru_cache(maxsize=128)
+# a table holds two lists of p ints (and up to four arrays of p), so keep
+# only the latest few: enough for the 13 primes of a bound-41 sequence,
+# while a long run over large primes holds 16 tables, not every one
+@lru_cache(maxsize=16)
 def mod_tables(p: int) -> ModTables:
     return ModTables(p)

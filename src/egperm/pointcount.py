@@ -19,22 +19,27 @@ Then two identities hold mod p:
   ``(p-1)*L`` forces all of them to equal ``p - 1`` exactly, leaving
   ``(-1)^L`` times the target coefficient.
 
-``coefficient_oracle`` extracts the coefficient by dense multivariate
-convolution with per-variable exponents capped at ``p - 1`` (exponents
-only grow, so higher terms can never contribute).  ``point_count``
-enumerates ``F_p^L`` with numpy.  Both are exponential in ``L`` and are
-meant as independent cross-checks on small graphs, not as production
-algorithms.
+Every variable enters F only as ``z_j = y_j^calV``, so both oracles run on
+a compact lattice of exponents or images instead of on ``F_p^L``.
+``coefficient_oracle`` holds the coefficients of F's powers in a tensor
+with one axis of length ``n + 1`` per variable, indexed by the exponent of
+``y_j`` divided by calV (exponents only grow, so any above ``p - 1`` can
+never contribute).  ``point_count`` enumerates the images ``z`` in
+``({0} + H)^L``, where ``H`` is the image of ``y -> y^calV`` on ``F_p^*``,
+and weights each point by the number of ``y`` that map onto it.  Both are
+exponential in ``L`` and are meant as independent cross-checks on small
+graphs, not as production algorithms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import GraphError, OrientedGraph, block_spec, duplicate_edges, reduced_incidence
-from .numtheory import mod_tables
+from .numtheory import mod_tables, primitive_root
 
 __all__ = [
     "LinearFormProduct",
@@ -44,8 +49,9 @@ __all__ = [
     "reconcile",
 ]
 
-MAX_COEFF_LATTICE = 10_000_000   # dense coefficient tensor entries
-MAX_POINT_LATTICE = 40_000_000   # points of F_p^L enumerated
+# coefficient work: compact tensor entries (n+1)^L times shift passes n*L
+MAX_COEFF_LATTICE = 100_000_000
+MAX_POINT_LATTICE = 40_000_000   # image points (k+1)^L enumerated
 
 
 @dataclass(frozen=True)
@@ -71,57 +77,83 @@ def permanent_polynomial(g: OrientedGraph) -> LinearFormProduct:
 def coefficient_oracle(g: OrientedGraph, p: int) -> int:
     """GPerm at p as ``n!^L`` times a coefficient of ``F^(p-1)``.
 
-    The target coefficient is ``y_1^(p-1) .. y_L^(p-1)``; the dense tensor
-    keeps one axis of length p per variable and drops any exponent above
-    ``p - 1`` on the fly.
+    The target coefficient is ``y_1^(p-1) .. y_L^(p-1)``.  Axis j of the
+    tensor holds the exponent of ``y_j`` divided by calV, so it has length
+    ``n + 1``, a multiplication by ``c * y_j^calV`` shifts it by one, and
+    the target sits at ``(n, .., n)``.  ``F^(p-1)`` takes ``n*calV`` such
+    multiplications per row, ``n*L`` in all, and ``MAX_COEFF_LATTICE``
+    bounds the entries times those passes.
     """
     spec = block_spec(g)
     n = spec.admissible_n(p)
     f = permanent_polynomial(g)
     L = f.num_vars
-    if p ** L > MAX_COEFF_LATTICE:
-        raise GraphError(f"coefficient tensor p^L = {p}^{L} exceeds cap")
-    shape = (p,) * L
+    work = (n + 1) ** L * n * L
+    if work > MAX_COEFF_LATTICE:
+        raise GraphError(f"coefficient work (n+1)^L * n*L = {n + 1}^{L} * {n * L}"
+                         f" exceeds cap {MAX_COEFF_LATTICE}")
+    shape = (n + 1,) * L
+
+    def along(j: int, part: slice) -> tuple[slice, ...]:
+        return (slice(None),) * j + (part,) + (slice(None),) * (L - j - 1)
+
     acc = np.zeros(shape, dtype=np.int64)
     acc[(0,) * L] = 1
-    # F^(p-1) = prod_v form_v^(n*calV); multiply one linear form at a time
     for row in f.coeffs:
-        terms = [(j, c % p) for j, c in enumerate(row) if c % p]
-        for _ in range(n * spec.calV):
+        terms = [(along(j, slice(1, None)), along(j, slice(0, n)), c % p)
+                 for j, c in enumerate(row) if c % p]
+        for _ in range(n * f.power):
+            # below L * p^2 before the reduction, far inside int64
             nxt = np.zeros(shape, dtype=np.int64)
-            for j, c in terms:
-                # multiply by c * y_j^power: shift axis j by `power`
-                src = [slice(None)] * L
-                dst = [slice(None)] * L
-                src[j] = slice(0, p - f.power)
-                dst[j] = slice(f.power, p)
-                nxt[tuple(dst)] += c * acc[tuple(src)]
+            for dst, src, c in terms:
+                nxt[dst] += c * acc[src]
             acc = nxt % p
-    coeff = int(acc[(p - 1,) * L])
+    coeff = int(acc[(n,) * L])
     return coeff * pow(mod_tables(p).fact[n], L, p) % p
 
 
 def point_count(g: OrientedGraph, p: int) -> int:
-    """Number of zeros of F in ``F_p^L`` (numpy enumeration of the lattice)."""
+    """Number of zeros of F in ``F_p^L``, counted on the images of calV-th
+    powers.
+
+    ``y -> y^calV`` sends 0 to 0 once and, with ``d = gcd(calV, p-1)``,
+    hits each of the ``k = (p-1)/d`` elements of the order-k subgroup of
+    ``F_p^*`` exactly d times.  So an image point with i nonzero
+    coordinates stands for ``d^i`` points of ``F_p^L``, and the zeros are
+    ``p^L`` minus the weighted count of the ``(k+1)^L`` image points where
+    F is nonzero.  calV need not divide p - 1 (at p = 2, d = k = 1).
+    """
     f = permanent_polynomial(g)
     L = f.num_vars
-    if p ** L > MAX_POINT_LATTICE:
-        raise GraphError(f"point lattice p^L = {p}^{L} exceeds cap")
-    power = mod_tables(p).powers(f.power)
-    grids = [power[y] for y in np.indices((p,) * L, sparse=True)]
+    d = math.gcd(f.power, p - 1)
+    k = (p - 1) // d
+    if (k + 1) ** L > MAX_POINT_LATTICE:
+        raise GraphError(f"point lattice (k+1)^L = {k + 1}^{L} exceeds cap")
+    # image index 0 is 0, index t >= 1 is h^(t-1) for a generator h of H
+    h = pow(primitive_root(p), d, p)
+    image = [0, 1]
+    for _ in range(k - 1):
+        image.append(image[-1] * h % p)
+    image = np.array(image, dtype=np.int64)
+    axes = np.indices((k + 1,) * L, sparse=True)
     nonzero = None
     for row in f.coeffs:
         val = None
         for j, c in enumerate(row):
             if c % p == 0:
                 continue
-            term = (c % p) * grids[j]
+            term = (c % p) * image[axes[j]]
             val = term if val is None else val + term
         mask = (val % p) != 0 if val is not None else np.zeros((1,) * L, bool)
         nonzero = mask if nonzero is None else nonzero & mask
         if not nonzero.any():
             break
-    surviving = int(np.broadcast_to(nonzero, (p,) * L).sum())
+    shape = (k + 1,) * L
+    weight = sum((t > 0).astype(np.int8) for t in axes)  # nonzero coordinates
+    by_weight = np.bincount(np.broadcast_to(weight, shape)[
+        np.broadcast_to(nonzero, shape)], minlength=L + 1)
+    # exact in Python ints: p^L can pass 2^63
+    surviving = sum(int(c) * d ** i for i, c in enumerate(by_weight))
     return p ** L - surviving
 
 

@@ -3,10 +3,13 @@
 ``perm_leibniz`` sums over the symmetric group; ``perm_exact`` and
 ``perm_mod`` run Ryser's inclusion-exclusion with Gray-code row-sum
 updates.  ``RYSER_CAP`` bounds the latter.  ``block_perm_exact`` is the
-exact integer block Ryser over the column-multiplicity lattice, the
+exact integer block Ryser over the smaller multiplicity lattice, the
 oracle of ``egperm.permanent.block_perm_mod``.  ``eval_expr_brute`` and
 ``closed_form_zigzag_rec`` are the term-by-term oracles of
 ``egperm.expressions.eval_expr`` and ``egperm.sequences.closed_form_zigzag``.
+``coefficient_dense`` and ``point_count_dense`` are the oracles of
+``egperm.pointcount.coefficient_oracle`` and ``point_count`` on one axis
+of length p per variable.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from itertools import permutations, product
 
 import numpy as np
 
+from egperm.graphs import block_spec
 from egperm.numtheory import mod_tables
 from egperm.permanent import DimensionCapError
+from egperm.pointcount import permanent_polynomial
 
 RYSER_CAP = 28          # max columns for the subset-walk Ryser
 
@@ -85,7 +90,8 @@ def perm_mod(m, p: int) -> int:
 
 
 def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
-    """Exact permanent of ``1_{a x b} (x) base`` via multiplicity Ryser."""
+    """Exact permanent of ``1_{a x b} (x) base`` via multiplicity Ryser over
+    the smaller of the lattices {0..b}^c and {0..a}^r."""
     base = np.asarray(base, dtype=np.int64)
     r, c = base.shape
     if row_reps * r != col_reps * c:
@@ -93,6 +99,8 @@ def block_perm_exact(base, row_reps: int, col_reps: int) -> int:
     if row_reps * r == 0:
         return 1  # the empty matrix
     a, b = row_reps, col_reps
+    if (a + 1) ** r < (b + 1) ** c:
+        base, a, b, r, c = base.T, b, a, c, r  # perm M = perm M^T
     n_total = a * r
     binom = [math.comb(b, s) for s in range(b + 1)]
     cols = [tuple(int(x) for x in base[:, j]) for j in range(c)]
@@ -162,3 +170,53 @@ def closed_form_zigzag_rec(m: int, p: int) -> int:
 
     rec(0, n, 0, 1)
     return (-total) % p if (m - 1) % 2 else total
+
+
+def coefficient_dense(g, p: int) -> int:
+    """``n!^L`` times the coefficient of ``y_1^(p-1) .. y_L^(p-1)`` in
+    ``F^(p-1)``, by dense convolution on a ``p^L`` tensor that drops any
+    exponent above ``p - 1`` on the fly."""
+    spec = block_spec(g)
+    n = spec.admissible_n(p)
+    f = permanent_polynomial(g)
+    L = f.num_vars
+    shape = (p,) * L
+    acc = np.zeros(shape, dtype=np.int64)
+    acc[(0,) * L] = 1
+    # F^(p-1) = prod_v form_v^(n*calV); multiply one linear form at a time
+    for row in f.coeffs:
+        terms = [(j, c % p) for j, c in enumerate(row) if c % p]
+        for _ in range(n * spec.calV):
+            nxt = np.zeros(shape, dtype=np.int64)
+            for j, c in terms:
+                # multiply by c * y_j^power: shift axis j by `power`
+                src = [slice(None)] * L
+                dst = [slice(None)] * L
+                src[j] = slice(0, p - f.power)
+                dst[j] = slice(f.power, p)
+                nxt[tuple(dst)] += c * acc[tuple(src)]
+            acc = nxt % p
+    coeff = int(acc[(p - 1,) * L])
+    return coeff * pow(mod_tables(p).fact[n], L, p) % p
+
+
+def point_count_dense(g, p: int) -> int:
+    """Number of zeros of F in ``F_p^L``, one lattice point per residue."""
+    f = permanent_polynomial(g)
+    L = f.num_vars
+    power = np.array([pow(x, f.power, p) for x in range(p)], dtype=np.int64)
+    grids = [power[y] for y in np.indices((p,) * L, sparse=True)]
+    nonzero = None
+    for row in f.coeffs:
+        val = None
+        for j, c in enumerate(row):
+            if c % p == 0:
+                continue
+            term = (c % p) * grids[j]
+            val = term if val is None else val + term
+        mask = (val % p) != 0 if val is not None else np.zeros((1,) * L, bool)
+        nonzero = mask if nonzero is None else nonzero & mask
+        if not nonzero.any():
+            break
+    surviving = int(np.broadcast_to(nonzero, (p,) * L).sum())
+    return p ** L - surviving

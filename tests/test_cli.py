@@ -58,6 +58,20 @@ def test_pointcount(capsys):
     assert payload["coefficient_ok"] and payload["count_ok"]
 
 
+def test_pointcount_runs_on_the_compact_lattice(capsys):
+    # F_17^6 has 17^6 points, but the squares take only 9 values per axis
+    code, out, _ = run(capsys, "pointcount", "--graph", "catalog:P_3_1",
+                       "-p", "17")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coefficient_ok"] and payload["count_ok"]
+    # beyond the caps: one error line, exit 2
+    code, out, err = run(capsys, "pointcount", "--graph", "catalog:P_1_1",
+                         "-p", "10000019")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_modform_compare_default_eta(capsys):
     code, out, _ = run(capsys, "modform-compare", "--graph", "catalog:P_4_1",
                        "--bound", "41", "--json")

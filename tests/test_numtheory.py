@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,3 +83,19 @@ def test_log_dtype_is_narrowest_signed():
         np.int8, np.int8, np.int16, np.int32, np.int64]
     with pytest.raises(ValueError):
         ModTables.log_dtype(2 ** 63)
+
+
+def test_mod_tables_keeps_a_bounded_set_of_tables():
+    # a sweep over many primes leaves only the latest few tables alive ...
+    mod_tables.cache_clear()
+    refs = [weakref.ref(mod_tables(p)) for p in primes_upto(1000)]
+    gc.collect()
+    assert sum(r() is not None for r in refs) <= 16
+    # ... while a bound-41 sequence rerun finds all of its 13 tables
+    mod_tables.cache_clear()
+    for _ in range(2):
+        for p in primes_upto(41):
+            mod_tables(p)
+    info = mod_tables.cache_info()
+    assert (info.hits, info.misses) == (13, 13)
+    mod_tables.cache_clear()

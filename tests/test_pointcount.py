@@ -2,6 +2,8 @@ import math
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import egperm.cofactor as cofactor
 from egperm.cofactor import gperm_cofactor
@@ -16,7 +18,7 @@ from egperm.pointcount import (
     point_count,
     reconcile,
 )
-from oracles import perm_exact
+from oracles import coefficient_dense, perm_exact, point_count_dense
 import numpy as np
 
 K4 = zigzag(4)
@@ -52,6 +54,36 @@ def test_count_identity():
             report = reconcile(g, p)
             assert report["coefficient_ok"], (g, p, report)
             assert report["count_ok"], (g, p, report)
+
+
+@st.composite
+def small_cases(draw):
+    """A multigraph on 2-4 vertices, with loops, parallel edges and any
+    special vertex, and a prime p with a dense lattice p^L of at most 2e4."""
+    nv = draw(st.integers(2, 4))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    g = build_graph(edges, nv, draw(vertex))
+    L = block_spec(g).L
+    primes = [p for p in (2, 3, 5, 7, 11, 13) if p ** L <= 20_000]
+    assume(primes)
+    return g, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_cases())
+@example((build_graph([(0, 1), (1, 1), (1, 0)], 2, 1), 2))  # loop, p = 2
+@example((TRIANGLE, 5))      # calV = 3, gcd(3, 4) = 1
+@example((banana(4), 7))     # calV = 4, gcd(4, 6) = 2
+@example((banana(4), 5))     # admissible: the coefficient side runs too
+def test_compact_oracles_match_dense(case):
+    g, p = case
+    spec = block_spec(g)
+    assert point_count(g, p) == point_count_dense(g, p)
+    if p > spec.calV and (p - 1) % spec.calV == 0:
+        coeff = coefficient_oracle(g, p)
+        assert coeff == coefficient_dense(g, p)
+        assert coeff == gperm_direct(g, p)
 
 
 def test_reconcile_accepts_precomputed_residue():
