@@ -104,7 +104,8 @@ def cmd_table(args) -> int:
                 report.append({"name": entry.name, "status": "no-expression"})
                 continue
             expr = load_expression(entry.expression_file, entry.calV)
-            raw = {p: eval_expr(expr, p) for p in primes}
+            # largest prime first: a lattice over the cap fails before any work
+            raw = {p: eval_expr(expr, p) for p in reversed(primes)}
             got = {v.prime: v.residue for v in canonicalize_sign(
                 sequence_from_row(entry.name, entry.calV, entry.calE, raw)
             ).values}
@@ -262,7 +263,8 @@ def cmd_closed_form(args) -> int:
             print(f"no stored expression for {args.name}", file=sys.stderr)
             return 2
         expr = load_expression(filename, calV)
-        vals = {p: eval_expr(expr, p) for p in admissible_primes(calV, args.bound)}
+        # largest prime first: a lattice over the cap fails before any work
+        vals = {p: eval_expr(expr, p) for p in reversed(admissible_primes(calV, args.bound))}
         label = filename
     out = {"source": label, "primes": sorted(vals), "values": [vals[p] for p in sorted(vals)]}
     print(json.dumps(out) if args.json else

@@ -9,21 +9,29 @@ after which v is gone and every cap_j drops by k_j.  Expanding every
 vertex in turn gives the permanent, whatever the order of the vertices;
 the order only sets the cost.
 
-The engine is a forward transfer DP over one fixed vertex order.  An edge
-is carried in the *frontier* from its first live incidence in the order
-to its last, so hyperedges work as well as edges.  A DP state is the
-tuple of the remaining weights of the frontier edges, mapped to its
-coefficient mod p, and only two layers of states are alive at a time.
-At its last live incidence an edge is forced: that vertex takes all of
-its remaining weight, and spreads the rest of its own weight over its
-other edges.  An edge of positive weight with no live incidence (a loop,
-or an edge into the special vertex only) is a column no row can cover,
-so the permanent vanishes.  The ways to spread depend only on that rest,
-the caps of the free edges and their entries, so each DP keeps one table
-of them, built as the states ask for it and shared by all of its steps.
-Within a step the caps of a state map to the forced factor
-``W! prod m^cap`` and those moves, so a state pays one lookup and one
-multiply.
+The engine is a forward transfer DP over one fixed vertex order.  The
+expansion factors edge by edge, so an edge's remainder is settled as
+soon as its second-to-last live incidence is expanded: the one vertex
+left must take all of it, with the factor ``m^r`` of its entry there.
+That step folds the remainder ``r`` into the *load* of the last vertex
+and ``m_last^r`` into the move's coefficient; an edge with one live
+incidence is a fixed part of its vertex's load.  So the future of a state
+depends only on the load of each pending vertex, and states that split
+one load differently over edges merge.  Only a hyperedge between its
+first and its second-to-last incidence keeps a slot of its own, holding
+its cap, so hyperedges stay exact.  A DP state is one int in mixed
+radix, one digit per slot, mapped to its coefficient mod p; a slot is
+freed when its vertex is expanded (or its hyperedge is folded) and
+reused after that, and only two layers of states are alive at a time.
+Expanding v reads its load and the caps of the hyperedges passing v,
+the *caps key*, and spreads the rest of its weight over its free edges
+(those with a later incidence); for a graph the key is the load alone.
+Each step builds the moves of a caps key once, as ``(increment,
+coefficient)`` pairs with ``W!`` and the one-incidence edges folded in, so a
+state pays one digit read, one lookup, and one add and multiply per
+move.  An edge of positive weight with no live incidence (a loop, or an
+edge into the special vertex only) is a column no row can cover, so the
+permanent vanishes.
 
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
@@ -42,18 +50,18 @@ The residue does not depend on which vertex is special, so
 cost key, with one greedy walk each, and ``sequences.egp`` computes every
 prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
 logger to DEBUG to see the chosen special vertex of every sequence, and
-the order, its largest width, the DP states, the move sets built and the
-seconds of every (graph, prime).
+the order, the most slots a state holds, the DP states, the move sets
+built and the seconds of every (graph, prime).
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graphs import OrientedGraph, block_spec
 from .numtheory import ModTables, mod_tables
@@ -104,32 +112,25 @@ def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
     )
 
 
-def _picker(idx: list[int]) -> Callable[[tuple], tuple]:
-    """Function taking the items at positions ``idx`` of a tuple, as a tuple."""
-    if not idx:
-        return lambda t: ()
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda t: (t[i],)
-    return itemgetter(*idx)
-
-
 @dataclass(frozen=True)
 class _Step:
-    """Expansion of one vertex: where its caps sit in the incoming state."""
+    """Expansion of one vertex: the slots it reads and where its edges' remainders go."""
 
     vertex: int
-    entering: tuple[int, ...]        # edges whose first live incidence is here
-    caps: Callable[[tuple], tuple]   # forced then free caps of state + entering
-    forced: int                      # how many of the caps are forced
-    entries: tuple[int, ...]         # matrix entries of those edges at vertex
-    keep: Callable[[tuple], tuple]   # frontier caps that pass the vertex
+    reads: tuple[int, ...]           # its load slot (if ``loaded``), then passing hyperedges'
+    loaded: bool                     # whether remainders of earlier edges land on it
+    forced: tuple[int, ...]          # edges with no other live incidence: it takes all
+    forced_entries: tuple[int, ...]  # their matrix entries at the vertex
+    entering: tuple[int, ...]        # other edges whose first live incidence is here
+    entries: tuple[int, ...]         # matrix entries of entering, then passing edges
+    targets: tuple[int, ...]         # slot taking each of those edges' remainders
+    folds: tuple[int, ...]           # entry at the edge's last vertex, 1 if it stays a hyperedge
 
 
 @dataclass(frozen=True)
 class _Plan:
     order: tuple[int, ...]
-    widths: tuple[int, ...]          # frontier width after each vertex
+    widths: tuple[int, ...]          # slots in use after each vertex
     steps: tuple[_Step, ...]
 
 
@@ -190,111 +191,189 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
     """Vertex order and DP steps for the live ``vertices`` and ``edges``.
 
     The order is the one greedy walk of ``_greedy``, from the vertex that
-    widens the frontier least.  None when a live edge has no live
-    incidence: the permanent is zero.
+    widens the frontier least.  A slot holds the load of a vertex from the
+    first step that folds a remainder onto it to its own step, or the cap
+    of a hyperedge from its first live incidence to its second-to-last;
+    each step frees the slots it reads before it takes new ones.  None
+    when a live edge has no live incidence: the permanent is zero.
     """
     ends, edges_at = _structure(incidences, vertices, edges)
     if not all(ends.values()):
         return None
     order, _ = _greedy(vertices, edges_at, ends)
     position = {v: i for i, v in enumerate(order)}
-    last = {e: max(position[v] for v in at) for e, at in ends.items()}
-    frontier: list[int] = []
+    at = {e: sorted(ends[e], key=position.__getitem__) for e in ends}
+    first_fold: dict[int, int] = {}   # vertex -> step that first folds a load onto it
+    for e, a in at.items():
+        if len(a) > 1:
+            s = first_fold.get(a[-1], a[-2])
+            first_fold[a[-1]] = min(s, a[-2], key=position.__getitem__)
+    opens: dict[int, list[int]] = {v: [] for v in order}
+    for u in order:
+        if u in first_fold:
+            opens[first_fold[u]].append(u)
+    load_slot: dict[int, int] = {}
+    edge_slot: dict[int, int] = {}
+    free: list[int] = []
     steps, widths = [], []
-    for i, v in enumerate(order):
+
+    def take() -> int:
+        # with no slot free, the slots in use are all there are
+        return heapq.heappop(free) if free else len(load_slot) + len(edge_slot)
+
+    for v in order:
         here = edges_at[v]
-        entering = tuple(e for e in here if e not in frontier)
-        forced = [e for e in here if last[e] == i]
-        free = [e for e in here if last[e] > i]
-        ext = frontier + list(entering)
-        keep = [j for j, e in enumerate(frontier) if e not in here]
+        passing = [e for e in here if at[e][0] != v and at[e][-1] != v]
+        loaded = v in load_slot
+        reads = [load_slot[v]] if loaded else []
+        reads += [edge_slot[e] for e in passing]
+        if loaded:
+            heapq.heappush(free, load_slot.pop(v))
+        for e in passing:
+            if at[e][-2] == v:
+                heapq.heappush(free, edge_slot.pop(e))
+        for u in opens[v]:
+            load_slot[u] = take()
+        forced = [e for e in here if len(at[e]) == 1]
+        entering = [e for e in here if at[e][0] == v and len(at[e]) > 1]
+        for e in entering:
+            if len(at[e]) > 2:
+                edge_slot[e] = take()
+        targets, folds = [], []
+        for e in entering + passing:
+            if at[e][-2] == v:
+                targets.append(load_slot[at[e][-1]])
+                folds.append(ends[e][at[e][-1]])
+            else:
+                targets.append(edge_slot[e])
+                folds.append(1)
         steps.append(_Step(
             vertex=v,
-            entering=entering,
-            caps=_picker([ext.index(e) for e in forced + free]),
-            forced=len(forced),
-            entries=tuple(ends[e][v] for e in forced + free),
-            keep=_picker(keep),
+            reads=tuple(reads),
+            loaded=loaded,
+            forced=tuple(forced),
+            forced_entries=tuple(ends[e][v] for e in forced),
+            entering=tuple(entering),
+            entries=tuple(ends[e][v] for e in entering + passing),
+            targets=tuple(targets),
+            folds=tuple(folds),
         ))
-        frontier = [frontier[j] for j in keep] + free
-        widths.append(len(frontier))
+        widths.append(len(load_slot) + len(edge_slot))
     return _Plan(tuple(order), tuple(widths), tuple(steps))
 
 
-def _spread(tb: ModTables, need: int, free_caps: tuple[int, ...],
-            free_entries: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(remaining free caps, coefficient) for each way to spread ``need`` over the free edges.
+def _moves(p: int, need: int, start: tuple[int, int], caps: tuple[int, ...],
+           rows: list[list[int]], places: list[int]) -> list[tuple[int, int]]:
+    """(increment, coefficient) for each way to spread ``need`` over the free edges.
 
-    The coefficient is ``prod C(cap_j, k_j) m_j^{k_j}``; the caller
-    multiplies in ``W!`` and the forced edges.
+    Every way starts from ``start``.  Edge j takes ``k_j`` of its
+    ``caps[j]`` with the coefficient ``rows[j][k_j]``, and its remainder
+    adds ``(caps[j] - k_j) * places[j]`` to the state.  Ways that add the
+    same increment (edges whose remainders fold onto one vertex) merge.
     """
-    p = tb.p
-    room = sum(free_caps)
+    room = sum(caps)
     if need < 0 or need > room:
-        return ()
-    partial = [((), need, 1)]
-    for cap, m in zip(free_caps, free_entries):
+        return []
+    partial = [(need, *start)]        # (weight left to spread, increment, coefficient)
+    for cap, row, place in zip(caps, rows, places):
         room -= cap
         grown = []
-        for rem, left, c in partial:
+        for left, inc, c in partial:
             for k in range(max(0, left - room), min(cap, left) + 1):
-                ck = c * tb.binom(cap, k) % p * pow(m, k, p) % p
-                if ck:
-                    grown.append((rem + (cap - k,), left - k, ck))
+                if row[k]:
+                    grown.append((left - k, inc + (cap - k) * place, c * row[k] % p))
         partial = grown
-    return tuple((rem, c) for rem, _, c in partial)
+    if len(set(places)) == len(places):
+        return [(inc, c) for _, inc, c in partial if c]
+    merged: dict[int, int] = {}
+    for _, inc, c in partial:
+        merged[inc] = (merged.get(inc, 0) + c) % p
+    return [(inc, c) for inc, c in merged.items() if c]
 
 
 def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
     """Residue of the state along the plan, DP states visited and move sets built.
 
-    The move table ``spreads`` serves every step and lives for this call only.
+    A state is one int: slot s holds digit s in radix ``base``.  The
+    slots after a step sum to the edge weight entered so far less the
+    vertex weight expanded, whatever the state, so a base one above the
+    largest such sum never carries.  Each step builds one move set per
+    caps key it meets: the load of its vertex, and the caps of the
+    hyperedges passing it.
     """
     p = state.modulus
     tb = mod_tables(p)
-    spreads: dict[tuple, tuple[tuple[tuple[int, ...], int], ...]] = {}
-    layer: dict[tuple[int, ...], int] = {(): 1}
-    visited = 0
+    weights, vweights = state.edge_weights, state.vertex_weights
+    total, top = 0, 0
     for step in plan.steps:
-        w = state.vertex_weights[step.vertex]
-        entering = tuple(state.edge_weights[e] for e in step.entering)
-        caps_of, keep_of, forced = step.caps, step.keep, step.forced
-        forced_entries, free_entries = step.entries[:forced], step.entries[forced:]
-        by_caps: dict[tuple[int, ...], tuple] = {}
-        nxt: dict[tuple[int, ...], int] = {}
-        for frontier, coeff in layer.items():
-            caps = caps_of(frontier + entering)
-            hit = by_caps.get(caps)
-            if hit is None:
-                spread = (w - sum(caps[:forced]), caps[forced:], free_entries)
-                moves = spreads.get(spread)
+        total += sum(weights[e] for e in step.forced + step.entering)
+        total -= vweights[step.vertex]
+        top = max(top, total)
+    base = top + 1
+    place = [base ** s for s in range(max(plan.widths, default=0))]
+    row_cache: dict[tuple[int, int, int], list[int]] = {}
+
+    def row(cap: int, m: int, fold: int) -> list[int]:
+        # C(cap, k) m^k fold^(cap - k) for k = 0..cap
+        key = (cap, m, fold)
+        if key not in row_cache:
+            row_cache[key] = [tb.binom(cap, k) * pow(m, k, p) * pow(fold, cap - k, p) % p
+                              for k in range(cap + 1)]
+        return row_cache[key]
+
+    layer: dict[int, int] = {0: 1}
+    visited = move_sets = 0
+    for step in plan.steps:
+        w = vweights[step.vertex]
+        factor = tb.fact[w]
+        for e, m in zip(step.forced, step.forced_entries):
+            factor = factor * pow(m, weights[e], p) % p
+        room = w - sum(weights[e] for e in step.forced)
+        entering = tuple(weights[e] for e in step.entering)
+        loaded, folds = step.loaded, step.folds
+        entering_rows = [row(*a) for a in zip(entering, step.entries, folds)]
+        passing = list(zip(step.entries[len(entering):], folds[len(entering):]))
+        targets = [place[s] for s in step.targets]
+        divs = [place[s] for s in step.reads]
+
+        def moves_for(digits: tuple[int, ...]) -> list[tuple[int, int]]:
+            # read the digits out of the state, then add the remainders
+            need = room - digits[0] if loaded else room
+            caps = entering + digits[loaded:]
+            read = sum(d * q for d, q in zip(digits, divs))
+            rows = entering_rows + [row(cap, m, f)
+                                    for cap, (m, f) in zip(digits[loaded:], passing)]
+            return _moves(p, need, (-read, factor), caps, rows, targets)
+
+        by_caps: dict = {}
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        if len(divs) == 1:           # one digit, as at every step of a graph
+            div = divs[0]
+            for code, coeff in layer.items():
+                key = code // div % base
+                moves = by_caps.get(key)
                 if moves is None:
-                    moves = spreads[spread] = _spread(tb, *spread)
-                factor = tb.fact[w]
-                for cap, m in zip(caps, forced_entries):
-                    factor = factor * pow(m, cap, p) % p
-                hit = by_caps[caps] = (factor, moves)
-            factor, moves = hit
-            if moves:
-                kept = keep_of(frontier)
-                coeff *= factor
-                for rem, c in moves:
-                    key = kept + rem
-                    nxt[key] = nxt.get(key, 0) + coeff * c
-        layer = nxt
-        zero = []
-        for key, coeff in layer.items():
-            coeff %= p
-            if coeff:
-                layer[key] = coeff
-            else:
-                zero.append(key)
-        for key in zero:
-            del layer[key]
+                    moves = by_caps[key] = moves_for((key,))
+                    move_sets += 1
+                for inc, c in moves:
+                    key = code + inc
+                    nxt[key] = get(key, 0) + coeff * c
+        else:
+            for code, coeff in layer.items():
+                key = tuple(code // div % base for div in divs)
+                moves = by_caps.get(key)
+                if moves is None:
+                    moves = by_caps[key] = moves_for(key)
+                    move_sets += 1
+                for inc, c in moves:
+                    key = code + inc
+                    nxt[key] = get(key, 0) + coeff * c
+        layer = {key: c for key, coeff in nxt.items() if (c := coeff % p)}
         visited += len(layer)
         if not layer:
-            return 0, visited, len(spreads)
-    return layer.get((), 0), visited, len(spreads)
+            return 0, visited, move_sets
+    return layer.get(0, 0), visited, move_sets
 
 
 def cofactor_calculus(state: WeightedState) -> int:

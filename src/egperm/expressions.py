@@ -43,7 +43,10 @@ from .numtheory import admissible_n, mod_tables
 __all__ = ["LinForm", "BinomFactor", "BinomialSumExpr", "parse_expr", "format_expr", "eval_expr"]
 
 MAX_VARS = 5
-MAX_LATTICE = 80_000_000
+# eval_expr holds about 41 bytes per lattice point at its peak (int64 tops
+# and bottoms, their masks and the log sums), so a lattice at the cap peaks
+# near 270 MB
+MAX_LATTICE = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -228,11 +231,11 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
     n = admissible_n(e.calV, p)
     if len(e.variables) > MAX_VARS:
         raise ValueError(f"too many summation variables ({len(e.variables)} > {MAX_VARS})")
-    tb = mod_tables(p)
     bound = e.range_bound.value(n)
     k = len(e.variables)
     if k and (bound + 1) ** k > MAX_LATTICE:
-        raise ValueError(f"lattice ({bound + 1})^{k} exceeds cap {MAX_LATTICE}")
+        raise ValueError(f"lattice ({bound + 1})^{k} exceeds cap MAX_LATTICE = {MAX_LATTICE}")
+    tb = mod_tables(p)
 
     pref = 1
     for arg, power in e.fact_powers:

@@ -4,6 +4,8 @@ import pytest
 
 import egperm.numtheory as numtheory
 import egperm.permanent as permanent
+import egperm.pointcount as pointcount
+from egperm.expressions import MAX_LATTICE
 from egperm.cli import main
 from egperm.catalog import get_entry
 from egperm.graphs import format_graph, wheel
@@ -70,6 +72,28 @@ def test_pointcount_runs_on_the_compact_lattice(capsys):
                          "-p", "10000019")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_pointcount_over_the_point_lattice_cap_exits_2(capsys, monkeypatch):
+    # the coefficient cap always fires first at the default caps, so the
+    # point cap is lowered to one point below P_1_1's lattice at p = 7,
+    # where k = 3
+    f = pointcount.permanent_polynomial(get_entry("P_1_1").decompletion())
+    monkeypatch.setattr(pointcount, "MAX_POINT_LATTICE", (3 + 1) ** f.num_vars - 1)
+    code, out, err = run(capsys, "pointcount", "--graph", "catalog:P_1_1", "-p", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MAX_POINT_LATTICE" in err
+
+
+def test_closed_form_over_the_lattice_cap_exits_2(capsys):
+    # P_6_1 at p = 367: 184^3 points pass the cap; the largest prime runs
+    # first, so the refusal comes before any smaller prime is evaluated
+    assert 184 ** 3 > MAX_LATTICE
+    code, out, err = run(capsys, "closed-form", "--name", "P_6_1", "--bound", "367")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"MAX_LATTICE = {MAX_LATTICE}" in err
 
 
 def test_modform_compare_default_eta(capsys):

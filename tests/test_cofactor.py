@@ -3,6 +3,7 @@ import logging
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from egperm.catalog import get_entry
 from egperm.cofactor import (
     WeightedState, cheapest_special, cofactor_calculus, gperm_cofactor,
     state_from_graph,
@@ -48,6 +49,17 @@ def test_agreement_multigraph():
     # doubled triangle: calV = 3, calE = 1
     g = build_graph([(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)], 3, 0)
     _agree(g, bound=19)
+
+
+def test_wheels_at_every_special_vertex():
+    # the hub's load gathers remainders from every spoke, so the radix of
+    # the state must hold all of them without a carry
+    for k in range(4, 8):
+        g = wheel(k)
+        for s in range(g.vertex_count):
+            h = g.with_special(s)
+            for p in admissible_primes(block_spec(h).calV, 17):
+                assert gperm_cofactor(h, p) == gperm_reduced(h, p), (k, s, p)
 
 
 def test_agreement_loops_every_special_vertex():
@@ -216,6 +228,17 @@ def test_plan_logged_at_debug(caplog):
     assert "p=7" in text and "order" in text and "max width" in text
     assert "states" in text and "special 4" in text
     assert int(text.split(" move sets")[0].rsplit(" ", 1)[1]) > 0
+
+
+def test_states_merge_by_vertex_load(caplog):
+    # states that split one vertex load differently over its edges merge:
+    # carrying every edge cap, the DP visited 2,554,432 states here
+    g = get_entry("P_8_40").decompletion()
+    with caplog.at_level(logging.DEBUG, logger="egperm"):
+        gperm_cofactor(g, 41)
+    (record,) = caplog.records
+    states = int(record.getMessage().split(" states")[0].rsplit(" ", 1)[1])
+    assert states <= 2_554_432 // 10
 
 
 def test_special_choice_logged_once_per_sequence(caplog):

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from egperm.catalog import get_entry, load_expression
-from egperm.expressions import eval_expr, format_expr, parse_expr
+from egperm.expressions import MAX_LATTICE, eval_expr, format_expr, parse_expr
 from egperm.graphs import block_spec
 from egperm.numtheory import admissible_primes
 from egperm.sequences import canonicalize_sign, sequence_from_row
@@ -111,6 +111,18 @@ def test_inadmissible_prime_rejected():
     e = load_expression("completed_P_1_1.expr", calV=3)
     with pytest.raises(ValueError):
         eval_expr(e, 5)  # 5 - 1 is not a multiple of 3
+
+
+def test_lattice_just_over_the_cap_rejected():
+    # P_6_1 sums three variables over 0..n: the first prime whose (n+1)^3
+    # passes the cap is refused before any array is built
+    e = load_expression("P_6_1.expr")
+    primes = admissible_primes(2, 2 * round(MAX_LATTICE ** (1 / 3)) + 100)
+    size = {p: ((p - 1) // 2 + 1) ** 3 for p in primes}
+    over = min(p for p in primes if size[p] > MAX_LATTICE)
+    assert size[max(p for p in primes if p < over)] <= MAX_LATTICE
+    with pytest.raises(ValueError, match=f"MAX_LATTICE = {MAX_LATTICE}"):
+        eval_expr(e, over)
 
 
 def test_variable_missing_from_every_binom_counts_its_range():

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import egperm.cofactor as cofactor
+import egperm.pointcount as pointcount
 from egperm.cofactor import gperm_cofactor
 from egperm.graphs import (
     GraphError, banana, block_spec, build_graph, wheel, zigzag,
@@ -114,6 +115,18 @@ def test_lattice_caps():
         point_count(wheel(5), 11)  # 11^10 points
     with pytest.raises(GraphError):
         coefficient_oracle(wheel(5), 11)
+
+
+def test_point_lattice_just_over_the_cap_rejected():
+    # banana(2) has L = 2 and k = (p-1)/2: the first prime whose (k+1)^2
+    # passes the cap is refused before any array is built
+    cap = pointcount.MAX_POINT_LATTICE
+    primes = admissible_primes(2, 2 * math.isqrt(cap) + 100)
+    size = {p: ((p - 1) // 2 + 1) ** 2 for p in primes}
+    over = min(p for p in primes if size[p] > cap)
+    assert size[max(p for p in primes if p < over)] <= cap
+    with pytest.raises(ValueError, match=f"MAX_POINT_LATTICE = {cap}"):
+        point_count(banana(2), over)
 
 
 def test_block_extension_coefficient_identity_sympy():
