@@ -28,8 +28,8 @@ the *caps key*, and spreads the rest of its weight over its free edges
 (those with a later incidence); for a graph the key is the load alone.
 Each step builds the moves of a caps key once, as ``(increment,
 coefficient)`` pairs with ``W!`` and the one-incidence edges folded in, so a
-state pays one digit read, one lookup, and one add and multiply per
-move.  An edge of positive weight with no live incidence (a loop, or an
+state pays one read of its caps key, one lookup, and one add and
+multiply per move.  An edge of positive weight with no live incidence (a loop, or an
 edge into the special vertex only) is a column no row can cover, so the
 permanent vanishes.
 
@@ -64,7 +64,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .graphs import OrientedGraph, block_spec
-from .numtheory import ModTables, mod_tables
+from .numtheory import mod_tables
 
 __all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor",
            "cheapest_special"]
@@ -283,8 +283,6 @@ def _moves(p: int, need: int, start: tuple[int, int], caps: tuple[int, ...],
                 if row[k]:
                     grown.append((left - k, inc + (cap - k) * place, c * row[k] % p))
         partial = grown
-    if len(set(places)) == len(places):
-        return [(inc, c) for _, inc, c in partial if c]
     merged: dict[int, int] = {}
     for _, inc, c in partial:
         merged[inc] = (merged.get(inc, 0) + c) % p
@@ -348,27 +346,18 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
         by_caps: dict = {}
         nxt: dict[int, int] = {}
         get = nxt.get
-        if len(divs) == 1:           # one digit, as at every step of a graph
-            div = divs[0]
-            for code, coeff in layer.items():
-                key = code // div % base
-                moves = by_caps.get(key)
-                if moves is None:
-                    moves = by_caps[key] = moves_for((key,))
-                    move_sets += 1
-                for inc, c in moves:
-                    key = code + inc
-                    nxt[key] = get(key, 0) + coeff * c
-        else:
-            for code, coeff in layer.items():
-                key = tuple(code // div % base for div in divs)
-                moves = by_caps.get(key)
-                if moves is None:
-                    moves = by_caps[key] = moves_for(key)
-                    move_sets += 1
-                for inc, c in moves:
-                    key = code + inc
-                    nxt[key] = get(key, 0) + coeff * c
+        # a step that reads one digit keys its moves by that digit alone
+        one = len(divs) == 1
+        div = divs[0] if one else 0
+        for code, coeff in layer.items():
+            key = code // div % base if one else tuple([code // q % base for q in divs])
+            moves = by_caps.get(key)
+            if moves is None:
+                moves = by_caps[key] = moves_for((key,) if one else key)
+                move_sets += 1
+            for inc, c in moves:
+                key = code + inc
+                nxt[key] = get(key, 0) + coeff * c
         layer = {key: c for key, coeff in nxt.items() if (c := coeff % p)}
         visited += len(layer)
         if not layer:

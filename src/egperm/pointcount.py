@@ -51,10 +51,10 @@ __all__ = [
 
 # coefficient work: compact tensor entries (n+1)^L times shift passes n*L
 MAX_COEFF_LATTICE = 100_000_000
-# image points (k+1)^L enumerated; point_count peaks at about 17 bytes per
-# point with one variable (the image, one int64 row value and a mask) and at
-# 9 or less with more, so a lattice at the cap peaks below 280 MB
-MAX_POINT_LATTICE = 15_000_000
+# image points (k+1)^L enumerated; point_count peaks at about 48 bytes per
+# point with one variable, where the image is a Python list, and at 20 or
+# less with more, so a lattice at the cap peaks below 270 MB
+MAX_POINT_LATTICE = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -115,25 +115,6 @@ def coefficient_oracle(g: OrientedGraph, p: int) -> int:
     return coeff * pow(mod_tables(p).fact[n], L, p) % p
 
 
-def _nonzero_at(row: tuple[int, ...], image: np.ndarray, axes: list[tuple[int, ...]],
-                p: int) -> np.ndarray:
-    """Mask of the image points where the linear form ``row`` is nonzero mod p.
-
-    ``axes[j]`` is the shape of variable j's axis.  Each term is a view of
-    ``image`` along its own axis, so the value spans only the axes that
-    ``row`` uses, and it dies on return.
-    """
-    val = None
-    for j, c in enumerate(row):
-        if c % p:
-            term = (c % p) * image.reshape(axes[j])
-            val = term if val is None else val + term
-    if val is None:
-        return np.zeros((1,) * len(axes), dtype=bool)
-    val %= p
-    return val != 0
-
-
 def point_count(g: OrientedGraph, p: int) -> int:
     """Number of zeros of F in ``F_p^L``, counted on the images of calV-th
     powers.
@@ -152,32 +133,31 @@ def point_count(g: OrientedGraph, p: int) -> int:
     if (k + 1) ** L > MAX_POINT_LATTICE:
         raise GraphError(f"point lattice (k+1)^L = {k + 1}^{L} exceeds cap "
                          f"MAX_POINT_LATTICE = {MAX_POINT_LATTICE}")
-    # image index 0 is 0, index t >= 1 is h^(t-1) for a generator h of H,
-    # filled by doubling (the cap keeps p far below 2^31, so products fit)
+    # image index 0 is 0, index t >= 1 is h^(t-1) for a generator h of H
     h = pow(primitive_root(p), d, p)
-    image = np.zeros(k + 1, dtype=np.int64)
-    image[1] = 1
-    done = 1                      # image[1:done + 1] holds h^0 .. h^(done-1)
-    while done < k:
-        more = min(done, k - done)
-        block = image[done + 1:done + 1 + more]
-        np.multiply(image[1:1 + more], pow(h, done, p), out=block)
-        block %= p
-        done += more
-    axes = [(1,) * j + (k + 1,) + (1,) * (L - 1 - j) for j in range(L)]
+    image = [0, 1]
+    for _ in range(k - 1):
+        image.append(image[-1] * h % p)
+    image = np.array(image, dtype=np.int64)
+    axes = np.indices((k + 1,) * L, sparse=True)
     nonzero = None
     for row in f.coeffs:
-        mask = _nonzero_at(row, image, axes, p)
+        val = None
+        for j, c in enumerate(row):
+            if c % p == 0:
+                continue
+            term = (c % p) * image[axes[j]]
+            val = term if val is None else val + term
+        mask = (val % p) != 0 if val is not None else np.zeros((1,) * L, bool)
         nonzero = mask if nonzero is None else nonzero & mask
         if not nonzero.any():
             break
     shape = (k + 1,) * L
-    nonzero_coordinate = np.ones(k + 1, dtype=np.int8)
-    nonzero_coordinate[0] = 0
-    weight = sum(nonzero_coordinate.reshape(axis) for axis in axes)
-    picked = np.broadcast_to(weight, shape)[np.broadcast_to(nonzero, shape)]
+    weight = sum((t > 0).astype(np.int8) for t in axes)  # nonzero coordinates
+    by_weight = np.bincount(np.broadcast_to(weight, shape)[
+        np.broadcast_to(nonzero, shape)], minlength=L + 1)
     # exact in Python ints: p^L can pass 2^63
-    surviving = sum(int(np.count_nonzero(picked == i)) * d ** i for i in range(L + 1))
+    surviving = sum(int(c) * d ** i for i, c in enumerate(by_weight))
     return p ** L - surviving
 
 
