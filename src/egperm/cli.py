@@ -24,7 +24,7 @@ from .expressions import eval_expr
 from .graphs import (GraphError, OrientedGraph, block_spec, decomplete,
                      parse_graph, wheel, zigzag)
 from .modform import compare, eta_expand, parse_eta_product, residue_row, series_from_csv
-from .numtheory import admissible_primes
+from .numtheory import require_admissible_primes
 from .pointcount import reconcile
 from .sequences import (ALGORITHMS, EgpSequence, canonicalize_sign,
                         check_zigzag_work, closed_form_tree, closed_form_wheel,
@@ -215,8 +215,7 @@ def cmd_modform(args) -> int:
     else:
         entry = get_entry(label)
         if entry.eta_product is None:
-            print(f"no eta product on record for {label}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no eta product on record for {label}")
         series = eta_expand(parse_eta_product(entry.eta_product))
     ok = compare(seq, series)
     row = residue_row(series, seq.primes())
@@ -237,7 +236,19 @@ def cmd_closed_form(args) -> int:
         check_zigzag_work(args.size, args.bound)
     if args.family:
         calV = 1 if args.family == "tree" else 2
-        primes = admissible_primes(calV, args.bound)
+    elif args.name is None:
+        raise ValueError("closed-form needs --family or --name")
+    else:
+        entry = get_entry(args.name)
+        filename = entry.expression_file
+        calV = entry.calV
+        if args.completed:
+            filename = entry.completed_expression_file
+            calV = block_spec(entry.completed_graph()).calV
+        if filename is None:
+            raise ValueError(f"no stored expression for {args.name}")
+    primes = require_admissible_primes(calV, args.bound)
+    if args.family:
         vals = {}
         for p in primes:
             if args.family == "tree":
@@ -250,21 +261,10 @@ def cmd_closed_form(args) -> int:
         # report under the canonical sign convention
         seq = canonicalize_sign(sequence_from_row(label, calV, 1, vals))
         vals = {v.prime: v.residue for v in seq.values}
-    elif args.name is None:
-        raise ValueError("closed-form needs --family or --name")
     else:
-        entry = get_entry(args.name)
-        filename = entry.expression_file
-        calV = entry.calV
-        if args.completed:
-            filename = entry.completed_expression_file
-            calV = block_spec(entry.completed_graph()).calV
-        if filename is None:
-            print(f"no stored expression for {args.name}", file=sys.stderr)
-            return 2
         expr = load_expression(filename, calV)
         # largest prime first: a lattice over the cap fails before any work
-        vals = {p: eval_expr(expr, p) for p in reversed(admissible_primes(calV, args.bound))}
+        vals = {p: eval_expr(expr, p) for p in reversed(primes)}
         label = filename
     out = {"source": label, "primes": sorted(vals), "values": [vals[p] for p in sorted(vals)]}
     print(json.dumps(out) if args.json else

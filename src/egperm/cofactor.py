@@ -26,12 +26,20 @@ reused after that, and only two layers of states are alive at a time.
 Expanding v reads its load and the caps of the hyperedges passing v,
 the *caps key*, and spreads the rest of its weight over its free edges
 (those with a later incidence); for a graph the key is the load alone.
-Each step builds the moves of a caps key once, as ``(increment,
-coefficient)`` pairs with ``W!`` and the one-incidence edges folded in, so a
-state pays one read of its caps key, one lookup, and one add and
-multiply per move.  An edge of positive weight with no live incidence (a loop, or an
-edge into the special vertex only) is a column no row can cover, so the
-permanent vanishes.
+Each step builds one table of the ways to spread weight over its
+entering edges, indexed by *need*, the weight those edges take, as
+``(increment, coefficient)`` pairs with ``W!`` and the one-incidence
+edges folded in.  It holds only the needs the step can meet: a vertex
+whose load is at most L takes needs ``room - L .. room``, where ``room``
+is its weight less its one-incidence edges, and an unloaded vertex takes
+``room`` alone.  A state of load d takes the entry at ``room - d``,
+whose increments also clear d from its slot, so it pays one read of its
+load digit and one add and multiply per move.  A hyperedge passing the
+vertex still spreads per caps key, once per key met, each of its ways
+joined with the table entry for the weight it leaves.  An edge of
+positive weight with no live incidence (a loop, or an edge into the
+special vertex only) is a column no row can cover, so the permanent
+vanishes.
 
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
@@ -51,7 +59,8 @@ cost key, with one greedy walk each, and ``sequences.egp`` computes every
 prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
 logger to DEBUG to see the chosen special vertex of every sequence, and
 the order, the most slots a state holds, the DP states, the move sets
-built and the seconds of every (graph, prime).
+built (one table per step, plus one list per caps key at a step that a
+hyperedge passes) and the seconds of every (graph, prime).
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .graphs import OrientedGraph, block_spec
@@ -117,8 +127,8 @@ class _Step:
     """Expansion of one vertex: the slots it reads and where its edges' remainders go."""
 
     vertex: int
-    reads: tuple[int, ...]           # its load slot (if ``loaded``), then passing hyperedges'
-    loaded: bool                     # whether remainders of earlier edges land on it
+    reads: tuple[int, ...]           # its load slot (if ``folded``), then passing hyperedges'
+    folded: tuple[int, ...]          # earlier edges whose remainders land on it
     forced: tuple[int, ...]          # edges with no other live incidence: it takes all
     forced_entries: tuple[int, ...]  # their matrix entries at the vertex
     entering: tuple[int, ...]        # other edges whose first live incidence is here
@@ -147,6 +157,9 @@ def _structure(incidences: tuple[tuple[tuple[int, int], ...], ...],
     return ends, edges_at
 
 
+_least_delta = itemgetter(1, 0)    # (vertex, delta) -> (delta, vertex)
+
+
 def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
             ends: dict[int, dict[int, int]]) -> tuple[list[int], tuple]:
     """Order that always adds the vertex widening the frontier least, and its cost key.
@@ -155,30 +168,31 @@ def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
     entering a vertex plus its free edges) sorted descending, then the
     largest width, then the widths sorted descending.
     """
-    left = {e: len(at) for e, at in ends.items()}   # incidences not yet expanded
-
-    def growth(e: int) -> int:
-        # frontier change if one more incidence of e is expanded
-        if len(ends[e]) == 1:
-            return 0
-        return 1 if left[e] == len(ends[e]) else -1 if left[e] == 1 else 0
-
-    delta = {v: sum(growth(e) for e in edges_at[v]) for v in vertices}
+    # an edge with n > 1 live incidences widens the frontier by one at its
+    # first and narrows it by one at its last; with k not yet expanded, its
+    # growth is +1 at k == n, -1 at k == 1, else 0
+    size = {e: len(at) for e, at in ends.items()}
+    left = dict(size)                               # incidences not yet expanded
+    delta = {v: sum(size[e] > 1 for e in edges_at[v]) for v in vertices}
     order, costs, widths, width = [], [], [], 0
     while delta:
-        v = min(delta, key=lambda u: (delta[u], u))
+        v = min(delta.items(), key=_least_delta)[0]
         del delta[v]
         order.append(v)
         cost = width
         for e in edges_at[v]:
-            others = [u for u in ends[e] if u in delta]
-            for u in others:
-                delta[u] -= growth(e)
-            width += growth(e)
-            left[e] -= 1
-            cost += left[e] > 0
-            for u in others:
-                delta[u] += growth(e)
+            n, k = size[e], left[e]
+            left[e] = k - 1
+            cost += k > 1
+            if n == 1:
+                continue
+            before = 1 if k == n else -1 if k == 1 else 0
+            width += before
+            change = (-1 if k == 2 else 0) - before   # growth with k - 1 left
+            if change:
+                for u in ends[e]:
+                    if u in delta:
+                        delta[u] += change
         costs.append(cost)
         widths.append(width)
     return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
@@ -203,15 +217,14 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
     order, _ = _greedy(vertices, edges_at, ends)
     position = {v: i for i, v in enumerate(order)}
     at = {e: sorted(ends[e], key=position.__getitem__) for e in ends}
-    first_fold: dict[int, int] = {}   # vertex -> step that first folds a load onto it
+    folded: dict[int, list[int]] = {v: [] for v in order}   # edges whose remainders land on v
     for e, a in at.items():
         if len(a) > 1:
-            s = first_fold.get(a[-1], a[-2])
-            first_fold[a[-1]] = min(s, a[-2], key=position.__getitem__)
-    opens: dict[int, list[int]] = {v: [] for v in order}
+            folded[a[-1]].append(e)
+    opens: dict[int, list[int]] = {v: [] for v in order}   # loads whose slots open at v
     for u in order:
-        if u in first_fold:
-            opens[first_fold[u]].append(u)
+        if folded[u]:
+            opens[min((at[e][-2] for e in folded[u]), key=position.__getitem__)].append(u)
     load_slot: dict[int, int] = {}
     edge_slot: dict[int, int] = {}
     free: list[int] = []
@@ -250,7 +263,7 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
         steps.append(_Step(
             vertex=v,
             reads=tuple(reads),
-            loaded=loaded,
+            folded=tuple(folded[v]),
             forced=tuple(forced),
             forced_entries=tuple(ends[e][v] for e in forced),
             entering=tuple(entering),
@@ -262,42 +275,54 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
     return _Plan(tuple(order), tuple(widths), tuple(steps))
 
 
-def _moves(p: int, need: int, start: tuple[int, int], caps: tuple[int, ...],
-           rows: list[list[int]], places: list[int]) -> list[tuple[int, int]]:
-    """(increment, coefficient) for each way to spread ``need`` over the free edges.
+def _spread(p: int, lo: int, hi: int, caps: tuple[int, ...], rows: list[list[int]],
+            places: list[int], unit: int, start: tuple[int, int]
+            ) -> dict[int, dict[int, int]]:
+    """Each way to spread a need in ``lo..hi`` over edges: by need, increment -> coefficient.
 
-    Every way starts from ``start``.  Edge j takes ``k_j`` of its
-    ``caps[j]`` with the coefficient ``rows[j][k_j]``, and its remainder
-    adds ``(caps[j] - k_j) * places[j]`` to the state.  Ways that add the
-    same increment (edges whose remainders fold onto one vertex) merge.
+    Every way starts from ``start``, an (increment, coefficient) pair.
+    Edge j takes ``k_j`` of its ``caps[j]`` with the coefficient
+    ``rows[j][k_j]``; that adds ``k_j * unit`` to the increment, and the
+    remainder adds ``(caps[j] - k_j) * places[j]``.  Ways of one need
+    that add the same increment (edges whose remainders fold onto one
+    vertex) merge.
     """
     room = sum(caps)
-    if need < 0 or need > room:
-        return []
-    partial = [(need, *start)]        # (weight left to spread, increment, coefficient)
+    partial = {0: {start[0]: start[1]}}   # weight taken so far -> increment -> coefficient
     for cap, row, place in zip(caps, rows, places):
         room -= cap
-        grown = []
-        for left, inc, c in partial:
-            for k in range(max(0, left - room), min(cap, left) + 1):
-                if row[k]:
-                    grown.append((left - k, inc + (cap - k) * place, c * row[k] % p))
+        grown: dict[int, dict[int, int]] = {}
+        for taken, ways in partial.items():
+            for k in range(max(0, lo - room - taken), min(cap, hi - taken) + 1):
+                r = row[k]
+                if not r:
+                    continue
+                shift = (cap - k) * place + k * unit
+                into = grown.get(taken + k)
+                if into is None:
+                    into = grown[taken + k] = {}
+                for inc, c in ways.items():
+                    into[inc + shift] = into.get(inc + shift, 0) + c * r
         partial = grown
-    merged: dict[int, int] = {}
-    for _, inc, c in partial:
-        merged[inc] = (merged.get(inc, 0) + c) % p
-    return [(inc, c) for inc, c in merged.items() if c]
+    # reduced once at the end: until then a coefficient is a short sum of
+    # products of one residue per edge
+    for ways in partial.values():
+        for inc, c in ways.items():
+            ways[inc] = c % p
+    return partial
 
 
 def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
-    """Residue of the state along the plan, DP states visited and move sets built.
+    """Residue of the state along the plan, DP states visited and move tables built.
 
     A state is one int: slot s holds digit s in radix ``base``.  The
     slots after a step sum to the edge weight entered so far less the
     vertex weight expanded, whatever the state, so a base one above the
-    largest such sum never carries.  Each step builds one move set per
-    caps key it meets: the load of its vertex, and the caps of the
-    hyperedges passing it.
+    largest such sum never carries.  Each step builds one table of the
+    ways to spread weight over its entering edges, by need; a state of
+    load d takes the entry at ``room - d``.  A step that hyperedges pass
+    also builds one move list per caps key it meets, each way of the
+    hyperedges joined with the table entry for the weight they leave.
     """
     p = state.modulus
     tb = mod_tables(p)
@@ -308,7 +333,7 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
         total -= vweights[step.vertex]
         top = max(top, total)
     base = top + 1
-    place = [base ** s for s in range(max(plan.widths, default=0))]
+    place = [base ** s for s in range(max(plan.widths, default=0) + 1)]
     row_cache: dict[tuple[int, int, int], list[int]] = {}
 
     def row(cap: int, m: int, fold: int) -> list[int]:
@@ -320,7 +345,7 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
         return row_cache[key]
 
     layer: dict[int, int] = {0: 1}
-    visited = move_sets = 0
+    visited = tables = 0
     for step in plan.steps:
         w = vweights[step.vertex]
         factor = tb.fact[w]
@@ -328,41 +353,62 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
             factor = factor * pow(m, weights[e], p) % p
         room = w - sum(weights[e] for e in step.forced)
         entering = tuple(weights[e] for e in step.entering)
-        loaded, folds = step.loaded, step.folds
-        entering_rows = [row(*a) for a in zip(entering, step.entries, folds)]
-        passing = list(zip(step.entries[len(entering):], folds[len(entering):]))
+        load = sum(weights[e] for e in step.folded)   # the most its load digit holds
+        loaded = bool(step.folded)
+        hyper = len(step.reads) > loaded
+        cut = len(entering)
+        rows = [row(*a) for a in zip(entering, step.entries, step.folds)]
         targets = [place[s] for s in step.targets]
         divs = [place[s] for s in step.reads]
+        # the load digit; a place above every slot reads 0 on an unloaded vertex
+        div = divs[0] if loaded else place[-1]
+        # a state of load d takes the entry at need room - d, whose
+        # increments also clear the digit: each unit of need adds ``drop``
+        drop = div if loaded and not hyper else 0
+        # the needs that loads 0..load leave: ``room`` alone on an unloaded
+        # vertex; a passing hyperedge may take any part of the weight
+        table = _spread(p, 0 if hyper else room - load, min(room, sum(entering)),
+                        entering, rows, targets, drop, (-room * drop, factor))
+        tables += 1
+        by_load = [table.get(room - d, {}).items() for d in range(load + 1)]
+        passing = list(zip(step.entries[cut:], step.folds[cut:]))
 
-        def moves_for(digits: tuple[int, ...]) -> list[tuple[int, int]]:
-            # read the digits out of the state, then add the remainders
-            need = room - digits[0] if loaded else room
-            caps = entering + digits[loaded:]
-            read = sum(d * q for d, q in zip(digits, divs))
-            rows = entering_rows + [row(cap, m, f)
-                                    for cap, (m, f) in zip(digits[loaded:], passing)]
-            return _moves(p, need, (-read, factor), caps, rows, targets)
+        def hyper_moves(key: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+            # each way of the passing hyperedges, joined with the table
+            # entry for the weight they leave; the digits read drop out
+            need = room - key[0] if loaded else room
+            read = sum(x * q for x, q in zip(key, divs))
+            caps = key[loaded:]
+            split = _spread(p, need - sum(entering), need, caps,
+                            [row(cap, m, f) for cap, (m, f) in zip(caps, passing)],
+                            targets[cut:], 0, (-read, 1))
+            merged: dict[int, int] = {}
+            for taken, ways in split.items():
+                for inc, c in ways.items():
+                    for inc2, c2 in table.get(need - taken, {}).items():
+                        merged[inc + inc2] = (merged.get(inc + inc2, 0) + c * c2) % p
+            return merged.items()
 
-        by_caps: dict = {}
+        by_caps: dict[tuple[int, ...], Iterable[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
         get = nxt.get
-        # a step that reads one digit keys its moves by that digit alone
-        one = len(divs) == 1
-        div = divs[0] if one else 0
         for code, coeff in layer.items():
-            key = code // div % base if one else tuple([code // q % base for q in divs])
-            moves = by_caps.get(key)
-            if moves is None:
-                moves = by_caps[key] = moves_for((key,) if one else key)
-                move_sets += 1
+            if hyper:
+                key = tuple([code // q % base for q in divs])
+                moves = by_caps.get(key)
+                if moves is None:
+                    moves = by_caps[key] = hyper_moves(key)
+                    tables += 1
+            else:
+                moves = by_load[code // div % base]
             for inc, c in moves:
                 key = code + inc
                 nxt[key] = get(key, 0) + coeff * c
         layer = {key: c for key, coeff in nxt.items() if (c := coeff % p)}
         visited += len(layer)
         if not layer:
-            return 0, visited, move_sets
-    return layer.get(0, 0), visited, move_sets
+            return 0, visited, tables
+    return layer.get(0, 0), visited, tables
 
 
 def cofactor_calculus(state: WeightedState) -> int:

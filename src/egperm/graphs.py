@@ -282,7 +282,7 @@ def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
     vertex_count = None
     special = 0
     edges: list[tuple[int, int]] = []
-    rotation: dict[int, list[int]] = {}
+    rot_lines: list[tuple[str, int, list[int]]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,7 +294,7 @@ def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
             elif parts[0] == "V" and len(parts) == 4 and parts[2] == "SPECIAL":
                 vertex_count, special = int(parts[1]), int(parts[3])
             elif parts[0] == "ROT":
-                rotation[int(parts[1].rstrip(":"))] = [int(x) for x in parts[2:]]
+                rot_lines.append((raw, int(parts[1].rstrip(":")), [int(x) for x in parts[2:]]))
             else:  # an edge; any other line fails int()
                 t, h = map(int, parts)  # exactly two fields
                 edges.append((t, h))
@@ -303,6 +303,14 @@ def parse_graph(text: str) -> tuple[OrientedGraph, dict[int, list[int]] | None]:
     if vertex_count is None:
         raise GraphError("missing 'V <n>' header")
     g = OrientedGraph(vertex_count, tuple(edges), special)
+    rotation: dict[int, list[int]] = {}
+    for raw, v, order in rot_lines:
+        if v in rotation or not 0 <= v < vertex_count or not all(
+                0 <= e < len(edges) for e in order):
+            raise GraphError(f"unparsable line: {raw!r}: ROT takes a vertex of 0.."
+                             f"{vertex_count - 1} not listed before, and edge indices "
+                             f"of 0..{len(edges) - 1}")
+        rotation[v] = order
     return g, (rotation or None)
 
 

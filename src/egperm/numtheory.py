@@ -10,6 +10,7 @@ __all__ = [
     "is_prime",
     "primes_upto",
     "admissible_primes",
+    "require_admissible_primes",
     "admissible_n",
     "check_bound",
     "primitive_root",
@@ -63,6 +64,14 @@ def primes_upto(bound: int) -> list[int]:
 def admissible_primes(calV: int, bound: int) -> list[int]:
     """Primes p <= bound of the form p = n*calV + 1 with n >= 1."""
     return [p for p in primes_upto(bound) if p > calV and (p - 1) % calV == 0]
+
+
+def require_admissible_primes(calV: int, bound: int) -> list[int]:
+    """``admissible_primes``; ValueError if there is none."""
+    primes = admissible_primes(calV, bound)
+    if not primes:
+        raise ValueError(f"no admissible prime <= {bound} for calV={calV}")
+    return primes
 
 
 def admissible_n(calV: int, p: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cofactor import cheapest_special, gperm_cofactor
 from .graphs import OrientedGraph, block_spec
-from .numtheory import admissible_primes, check_bound, mod_tables
+from .numtheory import check_bound, mod_tables, require_admissible_primes
 from .permanent import gperm_direct, gperm_reduced
 
 __all__ = [
@@ -95,9 +95,7 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
             # loops alone merge into one vertex; their columns are zero either way
             g = merged
     spec = block_spec(g)
-    primes = admissible_primes(spec.calV, bound)
-    if not primes:
-        raise ValueError(f"no admissible prime <= {bound} for calV={spec.calV}")
+    primes = require_admissible_primes(spec.calV, bound)
     if not g.is_connected():
         values = tuple(
             EgpValue(p, (p - 1) // spec.calV, 0,

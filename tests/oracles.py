@@ -9,7 +9,8 @@ oracle of ``egperm.permanent.block_perm_mod``.  ``eval_expr_brute`` and
 ``egperm.expressions.eval_expr`` and ``egperm.sequences.closed_form_zigzag``.
 ``coefficient_dense`` and ``point_count_dense`` are the oracles of
 ``egperm.pointcount.coefficient_oracle`` and ``point_count`` on one axis
-of length p per variable.
+of length p per variable.  ``greedy_reference`` is the plain walk that
+``egperm.cofactor._greedy`` must reproduce, order and cost key alike.
 """
 
 from __future__ import annotations
@@ -220,3 +221,41 @@ def point_count_dense(g, p: int) -> int:
             break
     surviving = int(np.broadcast_to(nonzero, (p,) * L).sum())
     return p ** L - surviving
+
+
+def greedy_reference(vertices, edges_at, ends):
+    """Greedy vertex order and cost key, recounting every neighbour at every incidence.
+
+    Always adds the vertex whose expansion widens the frontier least (ties
+    to the lower index).  The key is the step costs (width entering a
+    vertex plus its free edges) sorted descending, then the largest
+    width, then the widths sorted descending.
+    """
+    left = {e: len(at) for e, at in ends.items()}   # incidences not yet expanded
+
+    def growth(e):
+        # frontier change if one more incidence of e is expanded
+        if len(ends[e]) == 1:
+            return 0
+        return 1 if left[e] == len(ends[e]) else -1 if left[e] == 1 else 0
+
+    delta = {v: sum(growth(e) for e in edges_at[v]) for v in vertices}
+    order, costs, widths, width = [], [], [], 0
+    while delta:
+        v = min(delta, key=lambda u: (delta[u], u))
+        del delta[v]
+        order.append(v)
+        cost = width
+        for e in edges_at[v]:
+            others = [u for u in ends[e] if u in delta]
+            for u in others:
+                delta[u] -= growth(e)
+            width += growth(e)
+            left[e] -= 1
+            cost += left[e] > 0
+            for u in others:
+                delta[u] += growth(e)
+        costs.append(cost)
+        widths.append(width)
+    return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
+                   tuple(sorted(widths, reverse=True)))

@@ -129,6 +129,26 @@ def test_closed_form_without_source_exits_2(capsys):
     assert "--family" in err and "--name" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "tree", "--size", "3", "--bound", "1"),
+     "no admissible prime <= 1 for calV=1"),
+    (("--name", "P_3_1", "--bound", "2"), "no admissible prime <= 2 for calV=2"),
+    (("--name", "P_8_41",), "no stored expression for P_8_41"),
+])
+def test_closed_form_with_nothing_to_evaluate_exits_2(capsys, argv, message):
+    # as compute, table and modform-compare do: one error line, no empty result
+    code, out, err = run(capsys, "closed-form", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_modform_compare_without_eta_product_exits_2(capsys):
+    code, out, err = run(capsys, "modform-compare", "--graph", "catalog:P_5_1",
+                         "--bound", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: no eta product on record for P_5_1\n"
+
+
 def test_closed_form_conflicting_sources_exit_2(capsys):
     # --family evaluates a family formula; --name/--completed a stored one
     for extra in (("--name", "P_3_1"), ("--completed",)):

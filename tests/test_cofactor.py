@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from egperm.catalog import get_entry
 from egperm.cofactor import (
-    WeightedState, cheapest_special, cofactor_calculus, gperm_cofactor,
-    state_from_graph,
+    WeightedState, _greedy, _incidences, _structure, cheapest_special,
+    cofactor_calculus, gperm_cofactor, state_from_graph,
 )
 from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
@@ -15,7 +15,7 @@ from egperm.numtheory import admissible_primes
 from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
 from egperm.sequences import egp
 from egperm.transforms import two_vertex_split
-from oracles import perm_leibniz
+from oracles import greedy_reference, perm_leibniz
 
 
 def _agree(g, bound=13):
@@ -268,6 +268,31 @@ def test_cheapest_special_small_graphs():
     assert s == 6 and max_width == 2 and costs[0] == 3
     # no live vertex: an empty matrix, whose permanent is 1
     assert cofactor_calculus(WeightedState((0,), (), (), 5)) == 1
+
+
+def _same_walk(incidences, vertices, edges):
+    ends, edges_at = _structure(incidences, vertices, edges)
+    assert _greedy(vertices, edges_at, ends) == greedy_reference(vertices, edges_at, ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_greedy_matches_reference_walk_on_multigraphs(g):
+    # the walk that updates neighbours only when an edge's growth changes
+    # keeps the order and cost key of the walk that recounts them all
+    for s in range(g.vertex_count):
+        _same_walk(_incidences(g), tuple(v for v in range(g.vertex_count) if v != s),
+                   range(g.edge_count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_states())
+def test_greedy_matches_reference_walk_on_hyperedges(state):
+    # hyperedges widen the frontier at their first incidence and narrow it
+    # at their last, with incidences in between that change nothing
+    _same_walk(state.incidences,
+               tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
+               range(len(state.edge_weights)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -114,7 +114,14 @@ def test_parse_rejects_garbage():
 
 @pytest.mark.parametrize("text", ["V\n0 1\n", "V 2\nROT\n", "V 2\n0 x\n",
                                   "V 3 SPECIAL\n", "V 3 SPECAIL 2\n",
-                                  "V 3 SPECIAL 1 junk\n"])
+                                  "V 3 SPECIAL 1 junk\n",
+                                  # a ROT vertex out of range or repeated, an edge index
+                                  # outside 0..E-1
+                                  "V 2\n0 1\n1 0\nROT 2: 0 1\n",
+                                  "V 2\n0 1\n1 0\nROT -1: 0 1\n",
+                                  "V 2\n0 1\n1 0\nROT 0: 0 1\nROT 0: 1 0\n",
+                                  "V 2\n0 1\n1 0\nROT 0 0 9\n",
+                                  "V 2\n0 1\n1 0\nROT 1: 1 -1\n"])
 def test_parse_names_a_malformed_line(text):
     with pytest.raises(GraphError, match="unparsable line"):
         parse_graph(text)
