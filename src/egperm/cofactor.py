@@ -1,7 +1,7 @@
 """Weighted-graph cofactor calculus for block permanents.
 
 The block permanent of an incidence-type matrix is encoded as a weighted
-(hyper)graph: vertex weights count row copies, edge weights count column
+graph: vertex weights count row copies, edge weights count column
 copies.  Expanding all rows of a vertex v of weight W over its incident
 edges, of remaining weights cap_1..cap_d and matrix entries m_1..m_d,
 gives ``sum over k_1+..+k_d = W of W! * prod C(cap_j, k_j) m_j^{k_j}``,
@@ -11,35 +11,26 @@ the order only sets the cost.
 
 The engine is a forward transfer DP over one fixed vertex order.  The
 expansion factors edge by edge, so an edge's remainder is settled as
-soon as its second-to-last live incidence is expanded: the one vertex
-left must take all of it, with the factor ``m^r`` of its entry there.
-That step folds the remainder ``r`` into the *load* of the last vertex
-and ``m_last^r`` into the move's coefficient; an edge with one live
-incidence is a fixed part of its vertex's load.  So the future of a state
-depends only on the load of each pending vertex, and states that split
-one load differently over edges merge.  Only a hyperedge between its
-first and its second-to-last incidence keeps a slot of its own, holding
-its cap, so hyperedges stay exact.  A DP state is one int in mixed
-radix, one digit per slot, mapped to its coefficient mod p; a slot is
-freed when its vertex is expanded (or its hyperedge is folded) and
-reused after that, and only two layers of states are alive at a time.
-Expanding v reads its load and the caps of the hyperedges passing v,
-the *caps key*, and spreads the rest of its weight over its free edges
-(those with a later incidence); for a graph the key is the load alone.
-Each step builds one table of the ways to spread weight over its
-entering edges, indexed by *need*, the weight those edges take, as
-``(increment, coefficient)`` pairs with ``W!`` and the one-incidence
-edges folded in.  It holds only the needs the step can meet: a vertex
-whose load is at most L takes needs ``room - L .. room``, where ``room``
-is its weight less its one-incidence edges, and an unloaded vertex takes
-``room`` alone.  A state of load d takes the entry at ``room - d``,
-whose increments also clear d from its slot, so it pays one read of its
-load digit and one add and multiply per move.  A hyperedge passing the
-vertex still spreads per caps key, once per key met, each of its ways
-joined with the table entry for the weight it leaves.  An edge of
-positive weight with no live incidence (a loop, or an edge into the
-special vertex only) is a column no row can cover, so the permanent
-vanishes.
+soon as its first live end is expanded: the other end must take all of
+it, with the factor ``m^r`` of its entry there.  That step folds the
+remainder ``r`` into the *load* of the other end and ``m^r`` into the
+move's coefficient; an edge with one live end is a fixed part of its
+vertex's load.  So the future of a state depends only on the load of
+each pending vertex, and states that split one load differently over
+edges merge.  A DP state is one int in mixed radix, one digit (slot) per
+loaded vertex, mapped to its coefficient mod p; a slot is freed when its
+vertex is expanded and reused after that, and only two layers of states
+are alive at a time.  Each step builds one table of the ways to spread
+weight over the edges its vertex enters, indexed by *need*, the weight
+those edges take, as ``(increment, coefficient)`` pairs with ``W!`` and
+the one-end edges folded in.  It holds only the needs the step can meet:
+a vertex whose load is at most L takes needs ``room - L .. room``, where
+``room`` is its weight less its one-end edges, and an unloaded vertex
+takes ``room`` alone.  A state of load d takes the entry at
+``room - d``, whose increments also clear d from its slot, so it pays
+one read of its load digit and one add and multiply per move.  An edge
+of positive weight with no live end (a loop, or an edge into the special
+vertex only) is a column no row can cover, so the permanent vanishes.
 
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
@@ -59,8 +50,7 @@ cost key, with one greedy walk each, and ``sequences.egp`` computes every
 prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
 logger to DEBUG to see the chosen special vertex of every sequence, and
 the order, the most slots a state holds, the DP states, the move sets
-built (one table per step, plus one list per caps key at a step that a
-hyperedge passes) and the seconds of every (graph, prime).
+built (one table per step) and the seconds of every (graph, prime).
 """
 
 from __future__ import annotations
@@ -84,12 +74,13 @@ _log = logging.getLogger("egperm")
 
 @dataclass(frozen=True)
 class WeightedState:
-    """Weighted hypergraph encoding of ``Perm(matrix)`` for one modulus.
+    """Weighted graph encoding of ``Perm(matrix)`` for one modulus.
 
-    ``incidences[e]`` lists (vertex, entry) pairs for edge e; hyperedges
-    (more than two incidences) are allowed.  A weight of -1 marks a dead
-    vertex/edge.  Squareness (sum of live vertex weights == sum of live
-    edge weights) is required for a nonzero permanent.
+    ``incidences[e]`` lists (vertex, entry) pairs for edge e, any matrix
+    entries; ``cofactor_calculus`` takes at most two pairs per edge, at
+    distinct vertices.  A weight of -1 marks a dead vertex/edge.
+    Squareness (sum of live vertex weights == sum of live edge weights) is
+    required for a nonzero permanent.
     """
 
     vertex_weights: tuple[int, ...]
@@ -124,17 +115,17 @@ def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
 
 @dataclass(frozen=True)
 class _Step:
-    """Expansion of one vertex: the slots it reads and where its edges' remainders go."""
+    """Expansion of one vertex: its load slot and where its edges' remainders go."""
 
     vertex: int
-    reads: tuple[int, ...]           # its load slot (if ``folded``), then passing hyperedges'
+    load: int                        # its load slot, -1 when nothing folds onto it
     folded: tuple[int, ...]          # earlier edges whose remainders land on it
-    forced: tuple[int, ...]          # edges with no other live incidence: it takes all
+    forced: tuple[int, ...]          # edges with no other live end: it takes all
     forced_entries: tuple[int, ...]  # their matrix entries at the vertex
-    entering: tuple[int, ...]        # other edges whose first live incidence is here
-    entries: tuple[int, ...]         # matrix entries of entering, then passing edges
-    targets: tuple[int, ...]         # slot taking each of those edges' remainders
-    folds: tuple[int, ...]           # entry at the edge's last vertex, 1 if it stays a hyperedge
+    entering: tuple[int, ...]        # edges whose other live end comes later
+    entries: tuple[int, ...]         # their matrix entries at the vertex
+    targets: tuple[int, ...]         # load slot of each one's other end
+    folds: tuple[int, ...]           # each one's matrix entry at its other end
 
 
 @dataclass(frozen=True)
@@ -168,31 +159,24 @@ def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
     entering a vertex plus its free edges) sorted descending, then the
     largest width, then the widths sorted descending.
     """
-    # an edge with n > 1 live incidences widens the frontier by one at its
-    # first and narrows it by one at its last; with k not yet expanded, its
-    # growth is +1 at k == n, -1 at k == 1, else 0
-    size = {e: len(at) for e, at in ends.items()}
-    left = dict(size)                               # incidences not yet expanded
-    delta = {v: sum(size[e] > 1 for e in edges_at[v]) for v in vertices}
+    # an edge with two live ends widens the frontier by one at the first
+    # end expanded and narrows it by one at the second, so expanding v
+    # takes 2 from the growth of each end still to come
+    others = {v: [u for e in edges_at[v] for u in ends[e] if u != v] for v in vertices}
+    delta = {v: len(us) for v, us in others.items()}
     order, costs, widths, width = [], [], [], 0
     while delta:
         v = min(delta.items(), key=_least_delta)[0]
         del delta[v]
         order.append(v)
         cost = width
-        for e in edges_at[v]:
-            n, k = size[e], left[e]
-            left[e] = k - 1
-            cost += k > 1
-            if n == 1:
-                continue
-            before = 1 if k == n else -1 if k == 1 else 0
-            width += before
-            change = (-1 if k == 2 else 0) - before   # growth with k - 1 left
-            if change:
-                for u in ends[e]:
-                    if u in delta:
-                        delta[u] += change
+        for u in others[v]:
+            if u in delta:
+                width += 1
+                cost += 1
+                delta[u] -= 2
+            else:
+                width -= 1
         costs.append(cost)
         widths.append(width)
     return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
@@ -206,10 +190,9 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
 
     The order is the one greedy walk of ``_greedy``, from the vertex that
     widens the frontier least.  A slot holds the load of a vertex from the
-    first step that folds a remainder onto it to its own step, or the cap
-    of a hyperedge from its first live incidence to its second-to-last;
-    each step frees the slots it reads before it takes new ones.  None
-    when a live edge has no live incidence: the permanent is zero.
+    first step that folds a remainder onto it to its own step; each step
+    frees its own slot before it takes new ones.  None when a live edge
+    has no live end: the permanent is zero.
     """
     ends, edges_at = _structure(incidences, vertices, edges)
     if not all(ends.values()):
@@ -219,59 +202,37 @@ def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
     at = {e: sorted(ends[e], key=position.__getitem__) for e in ends}
     folded: dict[int, list[int]] = {v: [] for v in order}   # edges whose remainders land on v
     for e, a in at.items():
-        if len(a) > 1:
-            folded[a[-1]].append(e)
+        if len(a) == 2:
+            folded[a[1]].append(e)
     opens: dict[int, list[int]] = {v: [] for v in order}   # loads whose slots open at v
     for u in order:
         if folded[u]:
-            opens[min((at[e][-2] for e in folded[u]), key=position.__getitem__)].append(u)
+            opens[min((at[e][0] for e in folded[u]), key=position.__getitem__)].append(u)
     load_slot: dict[int, int] = {}
-    edge_slot: dict[int, int] = {}
     free: list[int] = []
     steps, widths = [], []
-
-    def take() -> int:
-        # with no slot free, the slots in use are all there are
-        return heapq.heappop(free) if free else len(load_slot) + len(edge_slot)
-
     for v in order:
-        here = edges_at[v]
-        passing = [e for e in here if at[e][0] != v and at[e][-1] != v]
-        loaded = v in load_slot
-        reads = [load_slot[v]] if loaded else []
-        reads += [edge_slot[e] for e in passing]
-        if loaded:
-            heapq.heappush(free, load_slot.pop(v))
-        for e in passing:
-            if at[e][-2] == v:
-                heapq.heappush(free, edge_slot.pop(e))
+        load = load_slot.pop(v, -1)
+        if load >= 0:
+            heapq.heappush(free, load)
         for u in opens[v]:
-            load_slot[u] = take()
+            # with no slot free, the slots in use are all there are
+            load_slot[u] = heapq.heappop(free) if free else len(load_slot)
+        here = edges_at[v]
         forced = [e for e in here if len(at[e]) == 1]
-        entering = [e for e in here if at[e][0] == v and len(at[e]) > 1]
-        for e in entering:
-            if len(at[e]) > 2:
-                edge_slot[e] = take()
-        targets, folds = [], []
-        for e in entering + passing:
-            if at[e][-2] == v:
-                targets.append(load_slot[at[e][-1]])
-                folds.append(ends[e][at[e][-1]])
-            else:
-                targets.append(edge_slot[e])
-                folds.append(1)
+        entering = [e for e in here if at[e][0] == v and len(at[e]) == 2]
         steps.append(_Step(
             vertex=v,
-            reads=tuple(reads),
+            load=load,
             folded=tuple(folded[v]),
             forced=tuple(forced),
             forced_entries=tuple(ends[e][v] for e in forced),
             entering=tuple(entering),
-            entries=tuple(ends[e][v] for e in entering + passing),
-            targets=tuple(targets),
-            folds=tuple(folds),
+            entries=tuple(ends[e][v] for e in entering),
+            targets=tuple(load_slot[at[e][1]] for e in entering),
+            folds=tuple(ends[e][at[e][1]] for e in entering),
         ))
-        widths.append(len(load_slot) + len(edge_slot))
+        widths.append(len(load_slot))
     return _Plan(tuple(order), tuple(widths), tuple(steps))
 
 
@@ -312,17 +273,15 @@ def _spread(p: int, lo: int, hi: int, caps: tuple[int, ...], rows: list[list[int
     return partial
 
 
-def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
-    """Residue of the state along the plan, DP states visited and move tables built.
+def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int]:
+    """Residue of the state along the plan, and the DP states visited.
 
     A state is one int: slot s holds digit s in radix ``base``.  The
     slots after a step sum to the edge weight entered so far less the
     vertex weight expanded, whatever the state, so a base one above the
     largest such sum never carries.  Each step builds one table of the
     ways to spread weight over its entering edges, by need; a state of
-    load d takes the entry at ``room - d``.  A step that hyperedges pass
-    also builds one move list per caps key it meets, each way of the
-    hyperedges joined with the table entry for the weight they leave.
+    load d takes the entry at ``room - d``.
     """
     p = state.modulus
     tb = mod_tables(p)
@@ -345,7 +304,7 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
         return row_cache[key]
 
     layer: dict[int, int] = {0: 1}
-    visited = tables = 0
+    visited = 0
     for step in plan.steps:
         w = vweights[step.vertex]
         factor = tb.fact[w]
@@ -354,65 +313,40 @@ def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int, int]:
         room = w - sum(weights[e] for e in step.forced)
         entering = tuple(weights[e] for e in step.entering)
         load = sum(weights[e] for e in step.folded)   # the most its load digit holds
-        loaded = bool(step.folded)
-        hyper = len(step.reads) > loaded
-        cut = len(entering)
         rows = [row(*a) for a in zip(entering, step.entries, step.folds)]
-        targets = [place[s] for s in step.targets]
-        divs = [place[s] for s in step.reads]
-        # the load digit; a place above every slot reads 0 on an unloaded vertex
-        div = divs[0] if loaded else place[-1]
+        # the load digit; a place above every slot reads 0 on an unloaded
+        # vertex, whose increments then clear nothing
+        div = place[step.load]
+        drop = div if step.load >= 0 else 0
         # a state of load d takes the entry at need room - d, whose
         # increments also clear the digit: each unit of need adds ``drop``
-        drop = div if loaded and not hyper else 0
-        # the needs that loads 0..load leave: ``room`` alone on an unloaded
-        # vertex; a passing hyperedge may take any part of the weight
-        table = _spread(p, 0 if hyper else room - load, min(room, sum(entering)),
-                        entering, rows, targets, drop, (-room * drop, factor))
-        tables += 1
+        table = _spread(p, room - load, min(room, sum(entering)), entering, rows,
+                        [place[s] for s in step.targets], drop, (-room * drop, factor))
         by_load = [table.get(room - d, {}).items() for d in range(load + 1)]
-        passing = list(zip(step.entries[cut:], step.folds[cut:]))
-
-        def hyper_moves(key: tuple[int, ...]) -> Iterable[tuple[int, int]]:
-            # each way of the passing hyperedges, joined with the table
-            # entry for the weight they leave; the digits read drop out
-            need = room - key[0] if loaded else room
-            read = sum(x * q for x, q in zip(key, divs))
-            caps = key[loaded:]
-            split = _spread(p, need - sum(entering), need, caps,
-                            [row(cap, m, f) for cap, (m, f) in zip(caps, passing)],
-                            targets[cut:], 0, (-read, 1))
-            merged: dict[int, int] = {}
-            for taken, ways in split.items():
-                for inc, c in ways.items():
-                    for inc2, c2 in table.get(need - taken, {}).items():
-                        merged[inc + inc2] = (merged.get(inc + inc2, 0) + c * c2) % p
-            return merged.items()
-
-        by_caps: dict[tuple[int, ...], Iterable[tuple[int, int]]] = {}
         nxt: dict[int, int] = {}
         get = nxt.get
         for code, coeff in layer.items():
-            if hyper:
-                key = tuple([code // q % base for q in divs])
-                moves = by_caps.get(key)
-                if moves is None:
-                    moves = by_caps[key] = hyper_moves(key)
-                    tables += 1
-            else:
-                moves = by_load[code // div % base]
-            for inc, c in moves:
+            for inc, c in by_load[code // div % base]:
                 key = code + inc
                 nxt[key] = get(key, 0) + coeff * c
         layer = {key: c for key, coeff in nxt.items() if (c := coeff % p)}
         visited += len(layer)
         if not layer:
-            return 0, visited, tables
-    return layer.get(0, 0), visited, tables
+            return 0, visited
+    return layer.get(0, 0), visited
 
 
 def cofactor_calculus(state: WeightedState) -> int:
-    """Permanent residue of the matrix encoded by the weighted state."""
+    """Permanent residue of the matrix encoded by the weighted state.
+
+    Raises ValueError for an edge with more than two incidences or one
+    that lists a vertex twice.
+    """
+    for e, inc in enumerate(state.incidences):
+        if len(inc) > 2:
+            raise ValueError(f"edge {e} has {len(inc)} incidences; at most two are allowed")
+        if len(inc) == 2 and inc[0][0] == inc[1][0]:
+            raise ValueError(f"edge {e} lists vertex {inc[0][0]} twice")
     live_v = sum(w for w in state.vertex_weights if w > 0)
     live_e = sum(w for w in state.edge_weights if w > 0)
     if live_v != live_e:
@@ -426,7 +360,7 @@ def cofactor_calculus(state: WeightedState) -> int:
                  tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
     if plan is None:
         return 0
-    residue, visited, move_sets = _transfer(state, plan)
+    residue, visited = _transfer(state, plan)
     if debug:
         dead = [v for v, w in enumerate(state.vertex_weights) if w <= 0]
         _log.debug("cofactor: %d vertices, special %s, %d edges, p=%d: order %s, "
@@ -434,7 +368,7 @@ def cofactor_calculus(state: WeightedState) -> int:
                    len(state.vertex_weights),
                    ",".join(map(str, dead)) or "none",
                    len(state.edge_weights), state.modulus, list(plan.order),
-                   max(plan.widths, default=0), visited, move_sets,
+                   max(plan.widths, default=0), visited, len(plan.steps),
                    time.perf_counter() - start)
     return residue
 
@@ -450,14 +384,15 @@ def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
     The residue is the same at every special vertex, so this only chooses
     the cost: each candidate gets one greedy walk over the other vertices
     from the vertex that widens the frontier least, and the least cost key
-    wins, ties to the lower vertex index.
+    wins, ties to the lower vertex index.  The structure is built once;
+    a candidate only drops itself from its own edges.
     """
     best = None
-    incidences = _incidences(g)
-    for s in range(g.vertex_count):
-        vertices = tuple(v for v in range(g.vertex_count) if v != s)
-        ends, edges_at = _structure(incidences, vertices, range(g.edge_count))
-        _, key = _greedy(vertices, edges_at, ends)
+    everyone = tuple(range(g.vertex_count))
+    ends, edges_at = _structure(_incidences(g), everyone, range(g.edge_count))
+    for s in everyone:
+        dropped = {e: {v: m for v, m in ends[e].items() if v != s} for e in edges_at[s]}
+        _, key = _greedy(everyone[:s] + everyone[s + 1:], edges_at, ends | dropped)
         if best is None or key < best[1]:
             best = (s, key)
     return best

@@ -60,7 +60,10 @@ def parse_eta_product(text: str) -> EtaProduct:
             continue
         m = _ETA_FACTOR.fullmatch(piece)
         if m:
-            factors.append((int(m.group(1)), int(m.group(2) or 1)))
+            level, power = int(m.group(1)), int(m.group(2) or 1)
+            if level < 1:
+                raise ValueError(f"eta({level}) in {text!r}: the level must be at least 1")
+            factors.append((level, power))
         else:
             constant *= int(piece)
     if not factors:
@@ -134,8 +137,12 @@ def eta_expand(product: EtaProduct, terms: int = DEFAULT_TERMS) -> CoeffSeries:
         if e < 0:
             base = _inv_trunc(base, terms + 1)
             e = -e
-        for _ in range(e):
-            series = _mul_trunc(series, base, terms + 1)
+        while e:   # repeated squaring: base^e in about 2 log2(e) products
+            if e & 1:
+                series = _mul_trunc(series, base, terms + 1)
+            e >>= 1
+            if e:
+                base = _mul_trunc(base, base, terms + 1)
     coeffs = [0] * terms
     for i, c in enumerate(series):
         n = i + shift

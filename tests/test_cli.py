@@ -9,6 +9,7 @@ from egperm.expressions import MAX_LATTICE
 from egperm.cli import main
 from egperm.catalog import get_entry
 from egperm.graphs import format_graph, wheel
+from test_expressions import deadline
 
 
 def run(capsys, *argv):
@@ -101,6 +102,15 @@ def test_modform_compare_default_eta(capsys):
                        "--bound", "41", "--json")
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+def test_modform_compare_level_zero_exits_2(capsys):
+    # eta(0) has no q-expansion; its Euler product used to loop forever
+    with deadline(5):
+        code, out, err = run(capsys, "modform-compare", "--graph", "catalog:P_3_1",
+                             "--eta", "eta(0)^24 * eta(1)^24")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "eta(0)" in err and err.count("\n") == 1
 
 
 def test_closed_form_family(capsys):

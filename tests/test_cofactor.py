@@ -1,5 +1,6 @@
 import logging
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -131,17 +132,19 @@ def test_weight_beyond_modulus_vanishes():
     assert [gperm_cofactor(g, p) for p in (2, 3, 5, 7)] == [0, 0, 0, 0]
 
 
-def test_hyperedge_against_leibniz():
-    # edge 0 meets all three vertices; rows are vertex copies, columns edge copies
-    state = WeightedState(
+def test_edges_beyond_a_graph_rejected():
+    # the engine computes graphs: an edge meets at most two distinct vertices
+    hyperedge = WeightedState(
         vertex_weights=(2, 1, 2),
         edge_weights=(2, 2, 1),
         incidences=(((0, 1), (1, -1), (2, 2)), ((0, 1), (2, 3)), ((1, 1), (2, -1))),
         modulus=7,
     )
-    want = perm_leibniz(_matrix(state)) % 7
-    assert want != 0
-    assert cofactor_calculus(state) == want
+    with pytest.raises(ValueError, match="edge 0 has 3 incidences"):
+        cofactor_calculus(hyperedge)
+    repeated = WeightedState((1, 1), (1, 1), (((0, 1), (1, 1)), ((1, 2), (1, -1))), 7)
+    with pytest.raises(ValueError, match="edge 1 lists vertex 1 twice"):
+        cofactor_calculus(repeated)
 
 
 def _matrix(state):
@@ -154,14 +157,14 @@ def _matrix(state):
 
 @st.composite
 def square_states(draw):
-    # 2-4 vertices and 2-4 (hyper)edges; edge weights of 1 and 3 give the
-    # forced edges odd caps, so a negative entry's sign must survive; at
-    # most 7 rows keep the Leibniz sum small
+    # 2-4 vertices and 2-4 edges of one or two ends; edge weights of 1
+    # and 3 give the forced edges odd caps, so a negative entry's sign must
+    # survive; at most 7 rows keep the Leibniz sum small
     nv, ne = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     entry = st.sampled_from((-2, -1, 1, 2, 3))
     incidences = tuple(
         tuple((v, draw(entry)) for v in draw(st.sets(st.integers(0, nv - 1),
-                                                     min_size=1, max_size=nv)))
+                                                     min_size=1, max_size=2)))
         for _ in range(ne))
     edge_weights = []
     for i in range(ne):
@@ -287,9 +290,9 @@ def test_greedy_matches_reference_walk_on_multigraphs(g):
 
 @settings(max_examples=150, deadline=None)
 @given(square_states())
-def test_greedy_matches_reference_walk_on_hyperedges(state):
-    # hyperedges widen the frontier at their first incidence and narrow it
-    # at their last, with incidences in between that change nothing
+def test_greedy_matches_reference_walk_on_weighted_states(state):
+    # one-end edges, dead vertices and entries other than +-1 leave the
+    # walk of the reference
     _same_walk(state.incidences,
                tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
                range(len(state.edge_weights)))

@@ -8,6 +8,7 @@ from egperm.modform import (
     residue_row,
     series_from_csv,
 )
+from test_expressions import deadline
 
 
 def test_parse_and_weight():
@@ -42,6 +43,18 @@ def test_hecke_multiplicativity():
         s = eta_expand(parse_eta_product(text))
         assert s.a(15) == s.a(3) * s.a(5)
         assert s.a(35) == s.a(5) * s.a(7)
+
+
+def test_ramanujan_tau():
+    s = eta_expand(parse_eta_product("eta(1)^24"))
+    assert [s.a(n) for n in range(1, 6)] == [1, -24, 252, -1472, 4830]
+
+
+def test_large_exponent_expands_quickly():
+    # each factor is raised to its power by repeated squaring
+    with deadline(1):
+        s = eta_expand(parse_eta_product("eta(1)^24000"))
+    assert s.coeffs == (0,) * len(s.coeffs)   # q^1000 leads, beyond 128 terms
 
 
 def test_fractional_shift_rejected():
