@@ -207,7 +207,6 @@ def cmd_pointcount(args) -> int:
 
 def cmd_modform(args) -> int:
     g, label = _load_graph(args.graph)
-    seq = egp(g, args.bound, graph_id=label)
     if args.eta:
         series = eta_expand(parse_eta_product(args.eta))
     elif args.csv:
@@ -217,6 +216,12 @@ def cmd_modform(args) -> int:
         if entry.eta_product is None:
             raise ValueError(f"no eta product on record for {label}")
         series = eta_expand(parse_eta_product(entry.eta_product))
+    numtheory.check_bound(args.bound)
+    last = require_admissible_primes(block_spec(g).calV, args.bound)[-1]
+    if last > len(series.coeffs):
+        raise ValueError(f"prime {last} is past the last coefficient "
+                         f"a_{len(series.coeffs)} of {series.label}; lower --bound")
+    seq = egp(g, args.bound, graph_id=label)
     ok = compare(seq, series)
     row = residue_row(series, seq.primes())
     out = {"graph": label, "series": series.label, "match": ok,

@@ -65,7 +65,11 @@ def parse_eta_product(text: str) -> EtaProduct:
                 raise ValueError(f"eta({level}) in {text!r}: the level must be at least 1")
             factors.append((level, power))
         else:
-            constant *= int(piece)
+            try:
+                constant *= int(piece)
+            except ValueError:
+                raise ValueError(f"{piece!r} in {text!r} is neither an integer "
+                                 f"nor eta(m)^e") from None
     if not factors:
         raise ValueError(f"no eta factors in {text!r}")
     return EtaProduct(constant, tuple(factors))

@@ -18,6 +18,7 @@ __all__ = [
     "FourCutSpec",
     "Involution",
     "automorphisms",
+    "canonical_form",
     "find_involutions",
     "symmetry_zero_predicate",
     "schnetz_twist",
@@ -49,68 +50,95 @@ class Involution:
     fixed_vertex_count: int
 
 
-def _adjacency_counts(g: OrientedGraph) -> list[dict[int, int]]:
-    adj = [dict() for _ in range(g.vertex_count)]
-    for t, h in g.edges:
-        adj[t][h] = adj[t].get(h, 0) + 1
-        if t != h:
-            adj[h][t] = adj[h].get(t, 0) + 1
-    return adj
+def _refine(cells: list[list[int]], nbrs: list[list[int]]) -> list[list[int]]:
+    """Split every cell by the sorted colours of its vertices' neighbours, to a fixpoint.
+
+    A vertex's colour is the index of its cell; the parts of a split cell
+    keep its place, in the order of their signatures.
+    """
+    while True:
+        colour = {v: i for i, cell in enumerate(cells) for v in cell}
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            sig = {v: tuple(sorted([colour[w] for w in nbrs[v]])) for v in cell}
+            split += [[v for v in cell if sig[v] == key] for key in sorted(set(sig.values()))]
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
-def _iso_maps(g1: OrientedGraph, g2: OrientedGraph):
-    """Backtracking multigraph isomorphism; yields vertex maps g1 -> g2."""
-    n = g1.vertex_count
-    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return
+def _search(g: OrientedGraph):
+    """Individualisation-refinement search over the underlying multigraph.
+
+    Returns the least leaf edge list and automorphisms that generate the
+    group: the maps from each leaf to the first and the best leaf before
+    it with the same edge list.  A child is skipped when an automorphism
+    found so far, fixing every individualised vertex on the path, maps a
+    tried child onto it (McKay, "Practical graph isomorphism", 1981).
+    """
+    n = g.vertex_count
     if n > AUTOMORPHISM_VERTEX_CAP:
         raise GraphError(f"isomorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices")
-    a1, a2 = _adjacency_counts(g1), _adjacency_counts(g2)
-    deg1 = [sum(row.values()) for row in a1]
-    deg2 = [sum(row.values()) for row in a2]
-    if sorted(deg1) != sorted(deg2):
-        return
-    # map g1 by descending degree, ties by index (a regular graph: 0..n-1);
-    # a candidate must agree on adjacency with every vertex mapped before it
-    order = sorted(range(n), key=lambda v: -deg1[v])
-    image = [-1] * n
-    used = [False] * n
+    nbrs = [[h for t, h in g.edges if t == v] + [t for t, h in g.edges if h == v]
+            for v in range(n)]
+    gens: set[tuple[int, ...]] = set()
+    kept = []   # (edge list, vertex at each position) of the first and the best leaf
 
-    def extend(i: int):
-        if i == n:
-            yield tuple(image)
+    def visit(cells: list[list[int]], path: list[int]) -> None:
+        cells = _refine(cells, nbrs)
+        open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not open_cells:
+            at = [cell[0] for cell in cells]
+            pos = {v: i for i, v in enumerate(at)}
+            leaf = (tuple(sorted((min(pos[t], pos[h]), max(pos[t], pos[h]))
+                                 for t, h in g.edges)), at)
+            gens.update(tuple(other[pos[v]] for v in range(n))
+                        for form, other in kept if form == leaf[0])
+            kept[:] = [kept[0], min(kept[1], leaf)] if kept else [leaf, leaf]
             return
-        v = order[i]
-        for w in range(n):
-            if used[w] or deg1[v] != deg2[w]:
+        i = min(open_cells, key=lambda j: len(cells[j]))
+        tried: list[int] = []
+        for v in cells[i]:
+            fixing = [a for a in gens if all(a[u] == u for u in path)]
+            orbit, size = set(tried), -1
+            while len(orbit) != size:
+                size = len(orbit)
+                orbit |= {a[u] for a in fixing for u in orbit}
+            if v in orbit:
                 continue
-            if a1[v].get(v, 0) != a2[w].get(w, 0):
-                continue
-            ok = True
-            for u in order[:i]:
-                if a1[v].get(u, 0) != a2[w].get(image[u], 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            yield from extend(i + 1)
-            used[w] = False
-            image[v] = -1
+            tried.append(v)
+            visit(cells[:i] + [[v], [u for u in cells[i] if u != v]] + cells[i + 1:],
+                  path + [v])
 
-    yield from extend(0)
+    visit([list(range(n))], [])
+    return kept[1][0], gens
+
+
+def canonical_form(g: OrientedGraph) -> tuple[tuple[int, int], ...]:
+    """The underlying multigraph's edges under a canonical labelling (<= 16 vertices).
+
+    Two graphs with the same vertex count are isomorphic iff their forms are equal.
+    """
+    return _search(g)[0]
 
 
 def automorphisms(g: OrientedGraph) -> list[tuple[int, ...]]:
-    """All automorphisms of the underlying multigraph (<= 16 vertices)."""
-    return list(_iso_maps(g, g))
+    """All automorphisms of the underlying multigraph (<= 16 vertices), sorted."""
+    gens, group = _search(g)[1], {tuple(range(g.vertex_count))}
+    todo = list(group)
+    for a in todo:  # grows while it is walked
+        new = {tuple(b[v] for v in a) for b in gens} - group
+        group |= new
+        todo += new
+    return sorted(group)
 
 
 def isomorphic(g1: OrientedGraph, g2: OrientedGraph) -> bool:
-    for _ in _iso_maps(g1, g2):
-        return True
-    return False
+    return ((g1.vertex_count, g1.edge_count) == (g2.vertex_count, g2.edge_count)
+            and canonical_form(g1) == canonical_form(g2))
 
 
 def find_involutions(g: OrientedGraph) -> list[Involution]:

@@ -11,6 +11,8 @@ oracle of ``egperm.permanent.block_perm_mod``.  ``eval_expr_brute`` and
 ``egperm.pointcount.coefficient_oracle`` and ``point_count`` on one axis
 of length p per variable.  ``greedy_reference`` is the plain walk that
 ``egperm.cofactor._greedy`` must reproduce, order and cost key alike.
+``iso_maps_reference`` is the plain backtracking isomorphism search, the
+oracle of ``egperm.transforms.automorphisms`` and ``isomorphic``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from itertools import permutations, product
 
 import numpy as np
 
-from egperm.graphs import block_spec
+from egperm.graphs import GraphError, block_spec
 from egperm.numtheory import mod_tables
 from egperm.permanent import DimensionCapError
 from egperm.pointcount import permanent_polynomial
+from egperm.transforms import AUTOMORPHISM_VERTEX_CAP
 
 RYSER_CAP = 28          # max columns for the subset-walk Ryser
 
@@ -259,3 +262,56 @@ def greedy_reference(vertices, edges_at, ends):
         widths.append(width)
     return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
                    tuple(sorted(widths, reverse=True)))
+
+
+def iso_maps_reference(g1, g2):
+    """Backtracking multigraph isomorphism; yields vertex maps g1 -> g2."""
+    n = g1.vertex_count
+    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
+        return
+    if n > AUTOMORPHISM_VERTEX_CAP:
+        raise GraphError(f"isomorphism search capped at {AUTOMORPHISM_VERTEX_CAP} vertices")
+
+    def adjacency_counts(g):
+        adj = [dict() for _ in range(g.vertex_count)]
+        for t, h in g.edges:
+            adj[t][h] = adj[t].get(h, 0) + 1
+            if t != h:
+                adj[h][t] = adj[h].get(t, 0) + 1
+        return adj
+
+    a1, a2 = adjacency_counts(g1), adjacency_counts(g2)
+    deg1 = [sum(row.values()) for row in a1]
+    deg2 = [sum(row.values()) for row in a2]
+    if sorted(deg1) != sorted(deg2):
+        return
+    # map g1 by descending degree, ties by index (a regular graph: 0..n-1);
+    # a candidate must agree on adjacency with every vertex mapped before it
+    order = sorted(range(n), key=lambda v: -deg1[v])
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i: int):
+        if i == n:
+            yield tuple(image)
+            return
+        v = order[i]
+        for w in range(n):
+            if used[w] or deg1[v] != deg2[w]:
+                continue
+            if a1[v].get(v, 0) != a2[w].get(w, 0):
+                continue
+            ok = True
+            for u in order[:i]:
+                if a1[v].get(u, 0) != a2[w].get(image[u], 0):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            image[v] = w
+            used[w] = True
+            yield from extend(i + 1)
+            used[w] = False
+            image[v] = -1
+
+    yield from extend(0)

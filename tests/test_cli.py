@@ -113,6 +113,17 @@ def test_modform_compare_level_zero_exits_2(capsys):
     assert err.startswith("error:") and "eta(0)" in err and err.count("\n") == 1
 
 
+def test_modform_compare_refuses_primes_past_the_series(capsys):
+    # eta_expand gives a_1..a_128, so the prime 397 could only end in
+    # "coefficient a_397 beyond the expansion" after every smaller prime ran
+    with deadline(1):
+        code, out, err = run(capsys, "modform-compare", "--graph", "catalog:P_8_41",
+                             "--eta", "eta(2)^12", "--bound", "400")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: prime 397 ") and "a_128" in err
+    assert err.count("\n") == 1
+
+
 def test_closed_form_family(capsys):
     code, out, _ = run(capsys, "closed-form", "--family", "wheel",
                        "--size", "4", "--bound", "13", "--json")

@@ -5,10 +5,6 @@ import json
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
-pytest.importorskip("networkx")
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,10 +19,6 @@ def _load_tool():
 def test_tool_reproduces_catalog_json():
     derived = _load_tool().derive_catalog()
     committed = json.loads((ROOT / "src/egperm/data/catalog.json").read_text())
-    # networkx's planar embedding picks the rotation; the dual certificate
-    # tests check that it works whatever it is
-    for cat in (derived, committed):
-        del cat["certificates"]["dual_P_7_5"]["rotation"]
     assert derived == committed
 
     # every connected 4-regular class on 5..9 vertices is in the catalog once,

@@ -30,6 +30,14 @@ def test_parse_rejects_garbage():
         parse_eta_product("zeta(4)^6")
 
 
+def test_parse_names_the_bad_piece():
+    # the message used to be int()'s "invalid literal for int() with base 10"
+    for text, piece in (("eta(2)^x", "eta(2)^x"), ("2 * eta(1)^2 * eta(3", "eta(3")):
+        with pytest.raises(ValueError, match="neither an integer nor eta") as err:
+            parse_eta_product(text)
+        assert repr(piece) in str(err.value)
+
+
 def test_known_coefficients():
     assert eta_expand(parse_eta_product("-1 * eta(4)^6")).a(5) == 6
     assert eta_expand(parse_eta_product("eta(2)^4 * eta(4)^4")).a(5) == -2

@@ -1,11 +1,17 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egperm.catalog import certificates, get_entry
-from egperm.graphs import GraphError, banana, build_graph, cycle, decomplete, zigzag
+from egperm.graphs import (GraphError, OrientedGraph, banana, build_graph, cycle,
+                           decomplete, zigzag)
 from egperm.sequences import egp, sequences_equal
 from egperm.transforms import (
     FourCutSpec,
     automorphisms,
+    canonical_form,
     find_involutions,
     isomorphic,
     planar_dual,
@@ -13,6 +19,8 @@ from egperm.transforms import (
     symmetry_zero_predicate,
     two_vertex_split,
 )
+from oracles import iso_maps_reference
+from test_expressions import deadline
 
 K4 = zigzag(4)
 TRIANGLE = cycle(3)
@@ -29,6 +37,59 @@ def test_isomorphic_respects_multiplicity():
     other = build_graph([(0, 1), (1, 2), (1, 2), (0, 2)], 3, 0)
     assert isomorphic(doubled, other)
     assert not isomorphic(doubled, TRIANGLE)
+
+
+@st.composite
+def multigraphs(draw):
+    # loops and parallel edges come up often; isolated vertices and
+    # edgeless graphs too
+    nv = draw(st.integers(1, 7))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    return OrientedGraph(nv, tuple(edges), 0)
+
+
+@st.composite
+def relabellings(draw, g):
+    """g under a random vertex relabelling, edge order and edge directions."""
+    perm = draw(st.permutations(range(g.vertex_count)))
+    edges = [(perm[h], perm[t]) if draw(st.booleans()) else (perm[t], perm[h])
+             for t, h in g.edges]
+    return OrientedGraph(g.vertex_count, tuple(draw(st.permutations(edges))),
+                         perm[g.special_vertex])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_matches_backtracking_reference(data):
+    g = data.draw(multigraphs())
+    assert automorphisms(g) == sorted(iso_maps_reference(g, g))
+    h = data.draw(relabellings(g))
+    assert canonical_form(h) == canonical_form(g)
+    assert isomorphic(g, h)
+    other = data.draw(multigraphs())
+    assert isomorphic(g, other) == any(True for _ in iso_maps_reference(g, other))
+
+
+def test_isomorphic_on_highly_symmetric_graphs():
+    rng = random.Random(5)
+    k55 = build_graph([(a, b) for a in range(5) for b in range(5, 10)], 10, 0)
+    perm = list(range(10))
+    rng.shuffle(perm)
+    relabelled = build_graph([(perm[t], perm[h]) for t, h in k55.edges], 10, 0)
+    # without automorphism pruning the edgeless graph alone has 12! leaves
+    with deadline(2):
+        assert isomorphic(k55, relabelled)
+        assert isomorphic(OrientedGraph(12, (), 0), OrientedGraph(12, (), 7))
+
+
+def test_isomorphism_vertex_cap():
+    with pytest.raises(GraphError, match="capped at 16 vertices"):
+        isomorphic(cycle(17), cycle(17))
+    with pytest.raises(GraphError, match="capped at 16 vertices"):
+        automorphisms(cycle(17))
+    # different vertex counts answer before the cap
+    assert not isomorphic(cycle(17), cycle(18))
 
 
 def test_involutions_of_square():

@@ -8,8 +8,8 @@ bytes.  Steps:
    isomorphism: the closure of circulant(n, 1, 2) under double-edge
    switches ab, cd -> ac, bd that keep the graph simple and connected,
    which reaches every class (R. Taylor, "Constrained switchings in
-   graphs", 1981).  Isomorphism is tested only within buckets of equal
-   triangle count.  Assert the known class counts.
+   graphs", 1981), keeping a graph whose canonical form is new.  Assert
+   the known class counts.
 2. Filter the *primitive* completions: every vertex subset S with
    2 <= |S| <= n-2 has edge boundary >= 6 (the only 4-edge-cuts are
    vertex stars), and no 3 vertices disconnect the rest.
@@ -24,8 +24,8 @@ bytes.  Steps:
    alone.  Every named row is then recomputed at another decompletion.
 4. Certify the recorded relations: find an explicit 4-cut whose twist
    maps P_7_4 to P_7_7, and a planar decompletion + rotation system
-   exhibiting P_7_5 <-> P_7_10 duality.  networkx supplies the planar
-   rotation, and nothing else.
+   exhibiting P_7_5 <-> P_7_10 duality.  The rotation is the first
+   rotation system, in lexicographic order, that planar_dual accepts.
 5. Emit src/egperm/data/catalog.json and a CHECKSUMS file.
 
 Run:  python3 tools/derive_catalog.py
@@ -39,8 +39,6 @@ import json
 import sys
 from pathlib import Path
 
-import networkx as nx
-
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src/egperm/data"
 sys.path.insert(0, str(ROOT / "src"))
@@ -48,8 +46,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from egperm.graphs import (GraphError, OrientedGraph, build_graph, circulant,
                            complete, decomplete, triangles)
 from egperm.sequences import canonicalize_sign, egp
-from egperm.transforms import (FourCutSpec, isomorphic, planar_dual,
-                               schnetz_twist, symmetry_zero_predicate)
+from egperm.transforms import (FourCutSpec, canonical_form, isomorphic,
+                               planar_dual, schnetz_twist,
+                               symmetry_zero_predicate)
 
 PRIMES_41 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 MATCH_PRIMES = [3, 5, 7, 11, 13]
@@ -156,12 +155,12 @@ def enumerate_4regular(n: int) -> list[OrientedGraph]:
     The closure of circulant(n, 1, 2) under ``switches``, in the order found.
     """
     found = [circulant(n, 1, 2)]
-    buckets = {triangles(found[0]): [found[0]]}
+    forms = {canonical_form(found[0])}
     for g in found:  # grows while it is walked
         for h in switches(g):
-            bucket = buckets.setdefault(triangles(h), [])
-            if not any(isomorphic(h, other) for other in bucket):
-                bucket.append(h)
+            form = canonical_form(h)
+            if form not in forms:
+                forms.add(form)
                 found.append(h)
     return found
 
@@ -227,17 +226,21 @@ def find_twist_cut(g: OrientedGraph, target: OrientedGraph) -> FourCutSpec:
 
 
 def planar_rotation(dec: OrientedGraph) -> dict[int, list[int]] | None:
-    h = nx.Graph(dec.edges)
-    h.add_nodes_from(range(dec.vertex_count))
-    ok, emb = nx.check_planarity(h)
-    if not ok:
-        return None
-    edge_index = {}
-    for j, (t, hd) in enumerate(dec.edges):
-        edge_index[(t, hd)] = j
-        edge_index[(hd, t)] = j
-    return {v: [edge_index[(v, w)] for w in emb.neighbors_cw_order(v)]
-            for v in h.nodes}
+    """The first rotation system that planar_dual accepts, or None.
+
+    Each vertex's incident edges are tried in every cyclic order, its
+    lowest edge first, the vertices' orders in lexicographic product.
+    """
+    incident = [[j for j, e in enumerate(dec.edges) if v in e] for v in range(dec.vertex_count)]
+    cyclic = [[[at[0], *order] for order in itertools.permutations(at[1:])] for at in incident]
+    for orders in itertools.product(*cyclic):
+        rotation = dict(enumerate(orders))
+        try:
+            planar_dual(dec, rotation)
+        except GraphError:
+            continue
+        return rotation
+    return None
 
 
 def derive_catalog() -> dict:
