@@ -4,9 +4,11 @@ Subcommands: compute, table, verify, pointcount, modform-compare,
 closed-form, catalog.  Graphs are addressed as ``file:<path>`` (text
 format) or ``catalog:<name>`` (bundled decompletion).  ``--algorithm
 auto`` (the default) runs the cofactor calculus; ``direct`` and
-``reduced`` are the block-Ryser cross-check oracles, and
-``EGPERM_LATTICE_CAP`` overrides their lattice size limit.  Exit status
-is 1 when a verification or reproduction check fails and 2 on bad input.
+``reduced`` are the block Glynn cross-check oracles, which sum half of
+Glynn's sign lattice (the permanent is the determinant over GF(2) at
+p = 2).  ``EGPERM_LATTICE_CAP``, a positive integer, overrides their
+lattice size limit.  Exit status is 1 when a verification or
+reproduction check fails and 2 on bad input.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ def _apply_cap_overrides() -> None:
     lattice = os.environ.get("EGPERM_LATTICE_CAP")
     if lattice:
         try:
-            permanent.LATTICE_CAP = int(lattice)
+            cap = int(lattice)
         except ValueError:
+            cap = 0
+        if cap < 1:
             raise ValueError(
-                f"EGPERM_LATTICE_CAP must be an integer, got {lattice!r}") from None
+                f"EGPERM_LATTICE_CAP must be a positive integer, got {lattice!r}")
+        permanent.LATTICE_CAP = cap
 
 
 def _load_graph(spec: str) -> tuple[OrientedGraph, str]:

@@ -32,6 +32,13 @@ one read of its load digit and one add and multiply per move.  An edge
 of positive weight with no live end (a loop, or an edge into the special
 vertex only) is a column no row can cover, so the permanent vanishes.
 
+The layers are bounded before any state exists: after a step the w
+load slots in use sum to a fixed T, so the layer holds at most
+``C(T + w - 1, w - 1)`` states.  ``cofactor_calculus`` refuses a plan
+whose largest bound passes ``DP_STATE_CAP`` with ValueError, and
+``sequences.egp`` runs the largest prime, where the bound is largest,
+first.
+
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so it is computed once per graph and
 reused at every prime.  One greedy walk starts at the vertex that widens
@@ -57,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +78,13 @@ __all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofa
            "cheapest_special"]
 
 _log = logging.getLogger("egperm")
+
+# most states the bound of one DP layer may reach (``_state_bounds``).  A
+# DP holds 200-310 bytes per state of its largest layer (that layer, the
+# next one and its unreduced sums), and the bound is 1.6-13 times that
+# layer on P_8_41 at p = 61..101, c13_1_5 at 41 and c15_1_4 at 23, so a DP
+# at the cap peaks below about 600 MB.  Table A at bound 41 reaches 12,341.
+DP_STATE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -273,25 +288,38 @@ def _spread(p: int, lo: int, hi: int, caps: tuple[int, ...], rows: list[list[int
     return partial
 
 
-def _transfer(state: WeightedState, plan: _Plan) -> tuple[int, int]:
+def _loads(state: WeightedState, plan: _Plan) -> list[int]:
+    """The sum of the load slots after each step, whatever the state: the
+    edge weight entered so far less the vertex weight expanded."""
+    weights, vweights = state.edge_weights, state.vertex_weights
+    loads, total = [], 0
+    for step in plan.steps:
+        total += sum(weights[e] for e in step.forced + step.entering)
+        total -= vweights[step.vertex]
+        loads.append(total)
+    return loads
+
+
+def _state_bounds(loads: list[int], widths: tuple[int, ...]) -> list[int]:
+    """The most states each layer can hold: w slots that sum to T take at
+    most ``C(T + w - 1, w - 1)`` values, and a negative T none."""
+    return [math.comb(t + w - 1, w - 1) if w and t >= 0 else int(t == 0)
+            for t, w in zip(loads, widths)]
+
+
+def _transfer(state: WeightedState, plan: _Plan, loads: list[int]) -> tuple[int, int]:
     """Residue of the state along the plan, and the DP states visited.
 
     A state is one int: slot s holds digit s in radix ``base``.  The
-    slots after a step sum to the edge weight entered so far less the
-    vertex weight expanded, whatever the state, so a base one above the
-    largest such sum never carries.  Each step builds one table of the
-    ways to spread weight over its entering edges, by need; a state of
-    load d takes the entry at ``room - d``.
+    slots after a step sum to ``loads`` of that step, whatever the state,
+    so a base one above the largest such sum never carries.  Each step
+    builds one table of the ways to spread weight over its entering
+    edges, by need; a state of load d takes the entry at ``room - d``.
     """
     p = state.modulus
     tb = mod_tables(p)
     weights, vweights = state.edge_weights, state.vertex_weights
-    total, top = 0, 0
-    for step in plan.steps:
-        total += sum(weights[e] for e in step.forced + step.entering)
-        total -= vweights[step.vertex]
-        top = max(top, total)
-    base = top + 1
+    base = max([0, *loads]) + 1
     place = [base ** s for s in range(max(plan.widths, default=0) + 1)]
     row_cache: dict[tuple[int, int, int], list[int]] = {}
 
@@ -360,16 +388,22 @@ def cofactor_calculus(state: WeightedState) -> int:
                  tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
     if plan is None:
         return 0
-    residue, visited = _transfer(state, plan)
+    loads = _loads(state, plan)
+    bounds = _state_bounds(loads, plan.widths)
+    largest = max(bounds, default=1)
+    if largest > DP_STATE_CAP:
+        raise ValueError(f"a cofactor DP layer at p = {state.modulus} may hold "
+                         f"{largest} states, over the cap DP_STATE_CAP = {DP_STATE_CAP}")
+    residue, visited = _transfer(state, plan, loads)
     if debug:
         dead = [v for v, w in enumerate(state.vertex_weights) if w <= 0]
         _log.debug("cofactor: %d vertices, special %s, %d edges, p=%d: order %s, "
-                   "max width %d, %d states, %d move sets, %.4f s",
+                   "max width %d, %d states (bound %d), %d move sets, %.4f s",
                    len(state.vertex_weights),
                    ",".join(map(str, dead)) or "none",
                    len(state.edge_weights), state.modulus, list(plan.order),
-                   max(plan.widths, default=0), visited, len(plan.steps),
-                   time.perf_counter() - start)
+                   max(plan.widths, default=0), visited, sum(bounds),
+                   len(plan.steps), time.perf_counter() - start)
     return residue
 
 

@@ -59,6 +59,17 @@ class LinForm:
         env = {"1": 1, "n": n, **(grids or {})}
         return sum(c * env[s] for s, c in self.terms)
 
+    def is_fixed(self) -> bool:
+        """True when no summation variable occurs."""
+        return all(s in ("1", "n") for s, _ in self.terms)
+
+    def extent(self, n: int, bound: int) -> tuple[int, int]:
+        """Least and greatest value with every variable in 0..bound."""
+        variables = [(s, c) for s, c in self.terms if s not in ("1", "n")]
+        fixed = self.value(n, {s: 0 for s, _ in variables})
+        return (fixed + bound * sum(min(c, 0) for _, c in variables),
+                fixed + bound * sum(max(c, 0) for _, c in variables))
+
     def __str__(self) -> str:
         out = ""
         for s, c in self.terms:
@@ -226,8 +237,10 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
     from the cached ``ModTables.log_fact`` and ``log_inv_fact`` arrays, and
     an odd ``SIGN`` adds ``log(-1) = (p-1)/2``.  An out-of-range binomial
     adds a sentinel above every sum of nonzero factors, unless k = 0
-    (``0^0 = 1``).  The sums live in the narrowest signed dtype that holds
-    them."""
+    (``0^0 = 1``).  A factor whose top has no summation variable (as in
+    every stored expression) is tabulated once over the range of its
+    bottom and looked up at each point.  The sums live in the narrowest
+    signed dtype that holds them."""
     n = admissible_n(e.calV, p)
     if len(e.variables) > MAX_VARS:
         raise ValueError(f"too many summation variables ({len(e.variables)} > {MAX_VARS})")
@@ -257,13 +270,25 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
     zero = tb.zero_log(3 * (p - 2) * sum(f.power for f in factors) + m // 2)
     dt = tb.log_dtype((len(factors) + 1) * zero)
     log_fact, log_inv_fact = tb.log_fact.astype(dt), tb.log_inv_fact.astype(dt)
-    logs = np.zeros((), dtype=dt)
-    for f in factors:
-        t, b = np.broadcast_arrays(f.top.value(n, grids), f.bottom.value(n, grids))
+
+    def binom_logs(t, b, power: int) -> np.ndarray:
+        t, b = np.broadcast_arrays(t, b)
         ok = (0 <= b) & (b <= t) & (t < p)
         t, b = t * ok, b * ok
         log_binom = log_fact[t] + log_inv_fact[b] + log_inv_fact[t - b]
-        logs = logs + np.where(ok, f.power * log_binom, zero)
+        return np.where(ok, power * log_binom, zero)
+
+    logs = np.zeros((), dtype=dt)
+    for f in factors:
+        if f.top.is_fixed():
+            # one top t over the whole lattice: tabulate the factor over the
+            # bottom's values lo..hi once, and look each point up there
+            lo, hi = f.bottom.extent(n, max(bound, 0))
+            table = binom_logs(f.top.value(n), np.arange(lo, hi + 1), f.power)
+            logs = logs + table[f.bottom.value(n, grids) - lo]
+        else:
+            logs = logs + binom_logs(f.top.value(n, grids), f.bottom.value(n, grids),
+                                     f.power)
     sign = np.asarray(e.sum_sign.value(n, grids)) % 2
     logs = logs + (sign * (m // 2)).astype(dt)
     return pref * tb.exp_sum(np.broadcast_to(logs, shape), zero) % p

@@ -177,15 +177,16 @@ class ModTables:
         """``sum(g^l for l in logs) mod p``, where an entry ``l >= zero``
         stands for a product with a zero factor and adds nothing.
 
-        ``zero`` comes from ``zero_log``, and ``logs`` is of a dtype that
-        holds it.  One ``bincount`` of the entries clipped at ``zero``
-        counts each sum, and the counts fold onto the exponents mod p-1.
-        The total is exact in int64: the folded counts and ``exp`` are below
-        p, so each product is below p^2, and the p-1 products, each reduced
+        ``zero`` comes from ``zero_log``, ``logs`` is of a dtype that holds
+        it, and no entry is negative.  One ``bincount`` counts each sum, up
+        to the largest (a few multiples of ``zero`` for every caller), and
+        the counts below ``zero`` fold onto the exponents mod p-1.  The
+        total is exact in int64: the folded counts and ``exp`` are below p,
+        so each product is below p^2, and the p-1 products, each reduced
         below p again, sum below p^2.
         """
         m = self.p - 1
-        counts = np.bincount(np.minimum(logs, zero).ravel(), minlength=zero + 1)
+        counts = np.bincount(np.ravel(logs), minlength=zero + 1)
         folded = counts[:zero].reshape(-1, m).sum(axis=0)
         return int((folded % self.p * self.exp % self.p).sum() % self.p)
 

@@ -1,23 +1,36 @@
 """Block permanents mod p and the graph permanents built on them.
 
-``block_perm_mod`` is Ryser's formula specialised to block matrices
-``1_{a x b} (x) B`` without materialising them.  Repeated columns collapse
-subsets into multiplicity vectors, so the cost is ``(b+1)^cols(B)`` instead
-of ``2^(b*cols(B))``.  Since ``perm M = perm M^T``, it enumerates the
-smaller of ``(b+1)^cols(B)`` and ``(a+1)^rows(B)``, the latter as
-``1_{b x a} (x) B^T``; ``LATTICE_CAP`` bounds the side it enumerates.
+``block_perm_mod`` is Glynn's formula (D. Glynn, "The permanent of a
+square matrix", Eur. J. Combin. 2010) specialised to block matrices
+``1_{a x b} (x) B`` without materialising them.  Glynn sums over a sign
+for every column; with ``u_j`` minus signs among the b copies of column
+j, the column weighs ``(-1)^u_j C(b, u_j)``, each of the a copies of row
+i takes the value ``sum_j B_ij (b - 2 u_j)``, and ``perm = 2^(-a r) *
+sum_u prod_j weight_j * prod_i value_i^a``.  So the cost is
+``(b+1)^cols(B)`` instead of ``2^(b*cols(B))``.  Flipping every sign,
+``u -> b - u``, leaves each summand unchanged, so only ``u_1 <= b/2`` is
+enumerated: a slice with ``u_1 < b/2`` counts twice, and the middle slice
+of an even b once.  Since ``perm M = perm M^T``, it works on the smaller
+of ``(b+1)^cols(B)`` and ``(a+1)^rows(B)``, the latter as
+``1_{b x a} (x) B^T``; ``LATTICE_CAP`` bounds the full lattice of that
+side.  At p = 2 only ``a = b = 1`` is not already 0 (a or b copies of a
+row or column put a! or b! in the permanent), and there the permanent is
+the determinant mod 2, computed by elimination over GF(2).
 
 The lattice is summed in the discrete-log domain of F_p^* (the tables of
 ``ModTables``): each lattice point holds the sum of the logs of its
 factors, so a product of factors is one addition per factor and no
-reduction mod p.  Each column adds the log of its weight
-``(-1)^s C(b, s)`` (Ryser's sign folded in), and each row adds
-``a * log(row sum)`` from a table indexed by the row sum shifted to start
-at 0.  A row sum that is 0 mod p adds a sentinel above every sum of
-nonzero factors.  One histogram of the sums, clipped at the sentinel and
-folded mod p-1, then gives the total exactly (``ModTables.exp_sum``).  The
-sums live in the narrowest signed dtype that holds the largest of them
-and the widest shifted row sum.
+reduction mod p.  Each column adds the log of its weight (the first
+column's also ``log 2`` on the doubled slices), and each row adds
+``a * log(value)`` from one table indexed by the row value shifted from
+``[-span, span]`` to start at 0.  A row's term spans only the axes of its
+nonzero columns, so rows whose axes lie inside a wider row's are summed
+on that row's sub-lattice first, and only one addition per such group
+spans the whole lattice.  A row value that is 0 mod p adds a
+sentinel above every sum of nonzero factors.  One histogram of the sums,
+clipped at the sentinel and folded mod p-1, then gives the total exactly
+(``ModTables.exp_sum``).  The sums live in the narrowest signed dtype
+that holds the largest of them and the widest shifted row value.
 
 On top of these sit the graph permanents ``gperm_direct`` and
 ``gperm_reduced`` and the unimodular row reduction used by the latter.
@@ -41,7 +54,8 @@ __all__ = [
     "gperm_reduced",
 ]
 
-LATTICE_CAP = 40_000_000  # max lattice points the block Ryser enumerates
+# max points (b+1)^c of the block Glynn lattice; half of them are enumerated
+LATTICE_CAP = 40_000_000
 
 
 class DimensionCapError(ValueError):
@@ -59,9 +73,22 @@ def _check_block_square(base: np.ndarray, a: int, b: int) -> tuple[int, int]:
     return r, c
 
 
+def _det_mod2(base: np.ndarray) -> int:
+    """Determinant of a square integer matrix mod 2, by elimination over GF(2)."""
+    m = (base % 2).astype(bool)
+    for j in range(len(m)):
+        below = np.flatnonzero(m[j:, j])
+        if not below.size:
+            return 0
+        i = j + below[0]
+        m[[j, i]] = m[[i, j]]
+        m[j + 1:] ^= np.outer(m[j + 1:, j], m[j])
+    return 1
+
+
 def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
     """Permanent of ``1_{a x b} (x) base`` mod p, as a sum of discrete logs
-    over the multiplicity lattice {0..b}^c of the smaller side."""
+    over half the sign lattice {0..b}^c of the smaller side."""
     base = np.asarray(base, dtype=np.int64)
     r, c = _check_block_square(base, row_reps, col_reps)
     a, b = row_reps, col_reps
@@ -73,33 +100,61 @@ def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
         base, a, b, r, c = base.T, b, a, c, r  # perm M = perm M^T
     if (b + 1) ** c > LATTICE_CAP:
         raise DimensionCapError(
-            f"block Ryser lattice (b+1)^c = {b + 1}^{c} exceeds cap {LATTICE_CAP}")
+            f"block Glynn lattice (b+1)^c = {b + 1}^{c} exceeds cap {LATTICE_CAP}")
+    if p == 2:
+        return _det_mod2(base)  # a = b = 1: the matrix is the base itself
     tb = mod_tables(p)
     m = p - 1
-    # c column logs and r row logs, each in [0, p-2]; a row sum that is 0
+    # c column logs and r row logs, each in [0, p-2]; a row value that is 0
     # mod p adds `zero` instead, so a sum reaches `zero` iff a factor is 0,
     # and every sum, like `zero` itself, is at most (r + 1) * zero
     zero = tb.zero_log((r + c) * (p - 2))
     span = b * int(np.abs(base).sum(axis=1).max(initial=0))
-    dt = tb.log_dtype(max((r + 1) * zero, span))
-    grids = np.indices((b + 1,) * c, sparse=True, dtype=dt)
-    # log of (-1)^s C(b, s): Ryser's sign rides in the column weight
-    s = np.arange(b + 1)
-    weight = (tb.log_fact[b] + tb.log_inv_fact[s] + tb.log_inv_fact[b - s]
-              + s * (m // 2)) % m
-    logs = sum(weight.astype(dt)[g] for g in grids)
-    for row in base:
-        # shift the row sum by -lo into [0, hi - lo] and look up a*log there
-        lo = b * int(row[row < 0].sum())
-        v = np.arange(lo, b * int(row[row > 0].sum()) + 1) % p
-        table = np.where(v == 0, zero, a * tb.log[v] % m).astype(dt)
-        shifted = sum(int(x) * g - b * min(int(x), 0)
-                      for x, g in zip(row, grids) if x)
-        logs += table[shifted]
-    total = tb.exp_sum(logs, zero)
-    if (a * r) % 2:
-        total = (-total) % p
-    return total
+    dt = tb.log_dtype(max((r + 1) * zero, 2 * span))
+    # u -> b - u leaves every summand alone, so column 0 stops at b // 2,
+    # and a slice below b / 2 also counts for its mirror image
+    half = b // 2
+    grids = np.indices((half + 1,) + (b + 1,) * (c - 1), sparse=True, dtype=dt)
+    # log of (-1)^u C(b, u): the ways to sign u of a column's b copies minus
+    u = np.arange(b + 1)
+    weight = (tb.log_fact[b] + tb.log_inv_fact[u] + tb.log_inv_fact[b - u]
+              + u * (m // 2)) % m
+    mirrored = (weight[:half + 1] + np.where(2 * u[:half + 1] < b, tb.log[2], 0)) % m
+    columns = [mirrored.astype(dt)[grids[0]]] + [weight.astype(dt)[g] for g in grids[1:]]
+    # a*log of each row value in [-span, span], shifted by span to start at 0
+    v = np.arange(-span, span + 1) % p
+    table = np.where(v == 0, zero, a * tb.log[v] % m).astype(dt)
+    signed = [b - 2 * g for g in grids]   # a column's copies sum to b - 2u
+
+    def row_logs(row):
+        shifted = span
+        for x, s in zip(row, signed):
+            if x:
+                shifted = shifted + int(x) * s
+        return table[shifted]
+
+    # a row's term spans only the axes of its nonzero columns; a row whose
+    # axes lie inside a wider row's joins that row's group and is summed on
+    # the group's sub-lattice, so one addition per group spans the lattice
+    groups: list[tuple[set[int], list[np.ndarray]]] = []
+    for row in sorted(base, key=np.count_nonzero, reverse=True):
+        axes = set(np.flatnonzero(row))
+        for group_axes, rows in groups:
+            if axes <= group_axes:
+                rows.append(row)
+                break
+        else:
+            groups.append((axes, [row]))
+    logs, added = 0, set()
+    for group_axes, rows in groups:
+        term = sum(row_logs(row) for row in rows)
+        for j in sorted(group_axes - added):
+            term = term + columns[j]
+        added |= group_axes
+        logs = logs + term
+    for j in sorted(set(range(c)) - added):   # a zero column
+        logs = logs + columns[j]
+    return tb.exp_sum(logs, zero) * pow(2, -a * r, p) % p
 
 
 def blockwise_row_reduce(m) -> tuple[np.ndarray, list[int]]:

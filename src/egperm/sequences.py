@@ -109,11 +109,12 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
                        graph_id or "-", special, g.special_vertex, cost)
         g = g.with_special(special)
     values = []
-    for p in primes:
+    # largest prime first: a DP or lattice over its cap fails before any work
+    for p in reversed(primes):
         n = (p - 1) // spec.calV
         residue = _one_prime(g, p, algorithm)
         values.append(EgpValue(p, n, residue, _variate(n, spec.calE)))
-    return EgpSequence(graph_id, spec.calV, spec.calE, tuple(values))
+    return EgpSequence(graph_id, spec.calV, spec.calE, tuple(reversed(values)))
 
 
 def _merge_components(g: OrientedGraph) -> OrientedGraph:

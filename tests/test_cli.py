@@ -124,6 +124,17 @@ def test_modform_compare_refuses_primes_past_the_series(capsys):
     assert err.count("\n") == 1
 
 
+def test_dp_state_cap_exits_2_before_the_work(capsys):
+    # at p = 397 a DP layer of P_8_41 may hold over ten million states;
+    # without the cap this ran for minutes
+    with deadline(1):
+        code, out, err = run(capsys, "compute", "--graph", "catalog:P_8_41",
+                             "--bound", "400")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "DP_STATE_CAP" in err
+    assert err.count("\n") == 1
+
+
 def test_closed_form_family(capsys):
     code, out, _ = run(capsys, "closed-form", "--family", "wheel",
                        "--size", "4", "--bound", "13", "--json")
@@ -224,6 +235,20 @@ def test_bad_env_override_exits_2(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "EGPERM_LATTICE_CAP" in lines[0]
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_nonpositive_env_override_exits_2(capsys, monkeypatch, value):
+    # a cap below 1 would refuse every direct run; refuse the cap instead
+    monkeypatch.setattr(permanent, "LATTICE_CAP", permanent.LATTICE_CAP)
+    monkeypatch.setenv("EGPERM_LATTICE_CAP", value)
+    code, out, err = run(capsys, "compute", "--graph", "catalog:P_1_1",
+                         "--bound", "7", "--algorithm", "direct")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "EGPERM_LATTICE_CAP" in lines[0] and value in lines[0]
 
 
 def test_absurd_bound_exits_2(capsys, monkeypatch):

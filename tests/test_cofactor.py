@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egperm.catalog import get_entry
+import egperm.cofactor as cofactor
 from egperm.cofactor import (
-    WeightedState, _greedy, _incidences, _structure, cheapest_special,
-    cofactor_calculus, gperm_cofactor, state_from_graph,
+    WeightedState, _greedy, _incidences, _loads, _plan, _state_bounds, _structure,
+    _transfer, cheapest_special, cofactor_calculus, gperm_cofactor, state_from_graph,
 )
 from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
@@ -349,3 +350,53 @@ def test_reversing_an_edge_scales_by_sign(g, data):
     for v, r in zip(seq.values, egp(flipped, 13).residues()):
         sign = -1 if v.n * seq.calE % 2 else 1
         assert r == sign * v.residue % v.prime, (g, i, v.prime)
+
+
+def _live_plan(state):
+    return _plan(state.incidences,
+                 tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
+                 tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
+
+
+def _bound_holds(state):
+    # the layer bounds, known before any state exists, cover the states
+    # the DP visits
+    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
+        return
+    plan = _live_plan(state)
+    if plan is None:
+        return
+    loads = _loads(state, plan)
+    _, visited = _transfer(state, plan, loads)
+    assert sum(_state_bounds(loads, plan.widths)) >= visited, state
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_state_bound_covers_visited_states_on_multigraphs(g):
+    for s in range(g.vertex_count):
+        for p in admissible_primes(block_spec(g).calV, 23):
+            _bound_holds(state_from_graph(g.with_special(s), p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_states())
+def test_state_bound_covers_visited_states_on_weighted_states(state):
+    _bound_holds(state)
+
+
+def test_state_cap_refuses_before_any_prime_runs(monkeypatch):
+    # only the largest prime's layer bound is over the cap, and egp checks
+    # it first, so no DP runs at all
+    g = get_entry("P_7_10").decompletion()
+    state = state_from_graph(g.with_special(cheapest_special(g)[0]), 41)
+    plan = _live_plan(state)
+    monkeypatch.setattr(cofactor, "DP_STATE_CAP",
+                        max(_state_bounds(_loads(state, plan), plan.widths)) - 1)
+    runs = []
+    monkeypatch.setattr(cofactor, "_transfer",
+                        lambda *args: runs.append(args) or _transfer(*args))
+    with pytest.raises(ValueError, match="DP_STATE_CAP"):
+        egp(g, 41)
+    assert not runs
+    assert egp(g, 37).primes()[-1] == 37 and runs

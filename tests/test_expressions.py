@@ -168,6 +168,10 @@ def test_stored_expressions_match_brute_force():
     "SUM x0 x1 { SIGN x0 + 3 x1 + n; BINOM(2n, x0 + x1)^3 * BINOM(n, x1) } "
     "PREFACTOR fact(n)^-2 SIGN(n + 1) RANGE 2n",
     "SUM { SIGN n; } PREFACTOR fact(n)",
+    # tops without variables, tabulated over their bottoms: bottoms that
+    # run negative and past the top, and tops that reach p when calV = 1
+    "SUM x0 x1 { BINOM(2n, 2n - x0 - 2 x1) * BINOM(n + 1, x0 - x1 + 1)^2 } "
+    "PREFACTOR fact(n) RANGE n + 1",
 ])
 def test_hand_written_expressions_match_brute_force(text):
     for calV in (1, 2, 3):

@@ -84,7 +84,7 @@ def block_bases(draw):
 @settings(max_examples=150, deadline=None)
 @given(block_bases())
 def test_block_perm_mod_matches_exact_random(case):
-    # Ryser's sign rides in the column weights; odd a*r flips the total
+    # Glynn over half the sign lattice against the exact block Ryser
     base, a, b = case
     exact = block_perm_exact(base, a, b)
     for p in (2, 3, 5, 7, 11, 13):
@@ -105,12 +105,57 @@ def test_block_perm_mod_edge_cases():
     for p in (2, 3, 7):
         assert block_perm_mod(np.ones((2, 3), dtype=np.int64), 0, 0, p) == 1
         assert block_perm_mod(np.zeros((0, 2), dtype=np.int64), 5, 0, p) == 1
-    # p = 2, where p - 1 = 1 and every discrete log is 0
+    # p = 2, where only a = b = 1 reaches the GF(2) determinant
     for base in ([[1, 1], [0, 1]], [[1, 1], [1, 1]], [[1, -1], [1, 1]]):
         assert block_perm_mod(base, 1, 1, 2) == block_perm_exact(base, 1, 1) % 2
     # at p = 40009 the log sums of a 1 x 2 base pass 2^15, so need int32
     base = np.array([[1, 2]], dtype=np.int64)
     assert block_perm_mod(base, 6, 3, 40009) == block_perm_exact(base, 6, 3) % 40009
+
+
+def test_block_glynn_covers_both_parities_and_sides():
+    # the enumerated side b is even (the middle slice counts once) or odd
+    # (every slice has a distinct mirror), on either side of the transpose
+    rng = np.random.default_rng(17)
+    seen = set()
+    for r, c, a, b in ((2, 1, 1, 2), (1, 2, 2, 1), (1, 1, 3, 3), (3, 1, 1, 3),
+                       (1, 3, 3, 1), (2, 2, 4, 4), (3, 2, 2, 3), (2, 3, 3, 2),
+                       (1, 1, 6, 6), (2, 4, 2, 1)):
+        transposed = (a + 1) ** r < (b + 1) ** c
+        side = a if transposed else b
+        seen.add((transposed, side % 2))
+        for _ in range(6):
+            base = rng.integers(-2, 3, size=(r, c))
+            exact = block_perm_exact(base, a, b)
+            for p in (3, 5, 7, 11, 13):
+                assert block_perm_mod(base, a, b, p) == exact % p, (base, a, b, p)
+    assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_gf2_determinant_path():
+    # at p = 2 the permanent of a square base is its determinant mod 2
+    rng = np.random.default_rng(19)
+    zeros = 0
+    for _ in range(120):
+        n = int(rng.integers(1, 8))
+        base = rng.integers(-2, 3, size=(n, n))
+        if n > 1 and rng.integers(0, 3) == 0:
+            base[n - 1] = base[0] + 2 * base[n - 2]   # equal to row 0 mod 2
+        want = perm_exact(base) % 2
+        zeros += want == 0
+        assert block_perm_mod(base, 1, 1, 2) == want, base
+    assert zeros >= 20   # a third of the draws are singular by construction
+
+
+def test_lattice_cap_boundary(monkeypatch):
+    # the cap bounds the full lattice (b+1)^c, though half of it is summed
+    base = np.array([[1, -1], [2, 1]], dtype=np.int64)
+    exact = block_perm_exact(base, 2, 2)
+    monkeypatch.setattr(permanent, "LATTICE_CAP", 3 ** 2)
+    assert block_perm_mod(base, 2, 2, 7) == exact % 7
+    monkeypatch.setattr(permanent, "LATTICE_CAP", 3 ** 2 - 1)
+    with pytest.raises(DimensionCapError, match="3\\^2"):
+        block_perm_mod(base, 2, 2, 7)
 
 
 def test_repeated_rows_divisible_by_factorial():
