@@ -34,30 +34,33 @@ vertex only) is a column no row can cover, so the permanent vanishes.
 
 The layers are bounded before any state exists: after a step the w
 load slots in use sum to a fixed T, so the layer holds at most
-``C(T + w - 1, w - 1)`` states.  ``cofactor_calculus`` refuses a plan
-whose largest bound passes ``DP_STATE_CAP`` with ValueError, and
-``sequences.egp`` runs the largest prime, where the bound is largest,
-first.
+``C(T + w - 1, w - 1)`` states.  A plan whose largest bound passes
+``DP_STATE_CAP`` is refused with ValueError before its DP runs, and
+``gperm_cofactor_primes`` runs the largest prime, where the bound is
+largest, first.
 
 The order is planned from the incidence structure alone, which is the
-same at every admissible prime, so it is computed once per graph and
-reused at every prime.  One greedy walk starts at the vertex that widens
-the frontier least and keeps adding such a vertex (ties to the lower
-vertex index).  Each step of an order is costed by the frontier width
-entering its vertex plus the vertex's free edges (those still live after
-it): the DP pairs every incoming state with every way to spread the
-vertex's weight, and that number is exponential in this sum.  An order's
-cost key is its step costs sorted descending, then ``(max width, widths
-sorted descending)``, where a width is the frontier size after a vertex.
-The walk is polynomial, so large graphs plan too.
+same at every admissible prime, so ``gperm_cofactor_primes`` plans a
+sequence once, special vertex, order and DP steps alike, and each prime
+then only sets its weights, checks the cap and runs the DP; nothing is
+cached from one call to the next.  One greedy walk starts at the vertex
+that widens the frontier least and keeps adding such a vertex (ties to
+the lower vertex index).  Each step of an order is costed by the
+frontier width entering its vertex plus the vertex's free edges (those
+still live after it): the DP pairs every incoming state with every way
+to spread the vertex's weight, and that number is exponential in this
+sum.  An order's cost key is its step costs sorted descending, then
+``(max width, widths sorted descending)``, where a width is the frontier
+size after a vertex.  The walk is polynomial, so large graphs plan too.
 
 The residue does not depend on which vertex is special, so
 ``cheapest_special`` ranks the candidate special vertices by the same
-cost key, with one greedy walk each, and ``sequences.egp`` computes every
-prime of an ``auto`` sequence at the cheapest one.  Set the ``egperm``
-logger to DEBUG to see the chosen special vertex of every sequence, and
-the order, the most slots a state holds, the DP states, the move sets
-built (one table per step) and the seconds of every (graph, prime).
+cost key, with one greedy walk each, and an ``auto`` sequence of
+``sequences.egp`` runs at the cheapest one, on the winner's walk.  Set
+the ``egperm`` logger to DEBUG to see the special vertex, cost key and
+planning seconds of every sequence, and the order, the most slots a
+state holds, the DP states, the move sets built (one table per step) and
+the seconds of every (graph, prime).
 """
 
 from __future__ import annotations
@@ -67,15 +70,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable
 
-from .graphs import OrientedGraph, block_spec
+from .graphs import BlockSpec, OrientedGraph, block_spec
 from .numtheory import mod_tables
 
-__all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor",
-           "cheapest_special"]
+__all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor_primes",
+           "gperm_cofactor", "cheapest_special"]
 
 _log = logging.getLogger("egperm")
 
@@ -116,14 +117,19 @@ def _incidences(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
     """Initial state for GPerm at prime p: vertices weigh n*calV, edges n*calE."""
-    spec = block_spec(g)
+    return _graph_state(g, g.special_vertex, block_spec(g), _incidences(g), p)
+
+
+def _graph_state(g: OrientedGraph, special: int, spec: BlockSpec,
+                 incidences: tuple[tuple[tuple[int, int], ...], ...], p: int) -> WeightedState:
+    """``state_from_graph`` at the special vertex ``special``, from g's block
+    spec and incidences."""
     n = spec.admissible_n(p)
-    vweights = tuple(0 if v == g.special_vertex else n * spec.calV
-                     for v in range(g.vertex_count))
     return WeightedState(
-        vertex_weights=vweights,
-        edge_weights=tuple(n * spec.calE for _ in g.edges),
-        incidences=_incidences(g),
+        vertex_weights=tuple(0 if v == special else n * spec.calV
+                             for v in range(g.vertex_count)),
+        edge_weights=(n * spec.calE,) * g.edge_count,
+        incidences=incidences,
         modulus=p,
     )
 
@@ -163,30 +169,37 @@ def _structure(incidences: tuple[tuple[tuple[int, int], ...], ...],
     return ends, edges_at
 
 
-_least_delta = itemgetter(1, 0)    # (vertex, delta) -> (delta, vertex)
+def _neighbours(vertices: Iterable[int], edges_at: dict[int, list[int]],
+                ends: dict[int, dict[int, int]]) -> dict[int, list[int]]:
+    """For each vertex, the other end of each of its live edges with two live ends."""
+    return {v: [u for e in edges_at[v] for u in ends[e] if u != v] for v in vertices}
 
 
-def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
-            ends: dict[int, dict[int, int]]) -> tuple[list[int], tuple]:
+def _greedy(vertices: tuple[int, ...], others: dict[int, list[int]]) -> tuple[list[int], tuple]:
     """Order that always adds the vertex widening the frontier least, and its cost key.
 
-    Ties go to the lower vertex index.  The key is the step costs (width
-    entering a vertex plus its free edges) sorted descending, then the
-    largest width, then the widths sorted descending.
+    ``others`` is ``_neighbours`` of the vertices.  Ties go to the lower
+    vertex index.  The key is the step costs (width entering a vertex
+    plus its free edges) sorted descending, then the largest width, then
+    the widths sorted descending.
     """
     # an edge with two live ends widens the frontier by one at the first
     # end expanded and narrows it by one at the second, so expanding v
-    # takes 2 from the growth of each end still to come
-    others = {v: [u for e in edges_at[v] for u in ends[e] if u != v] for v in vertices}
-    delta = {v: len(us) for v, us in others.items()}
+    # takes 2 from the growth of each end still to come; a vertex not
+    # (or no longer) to come has growth inf, and min takes the first of
+    # equal growths
+    delta = [math.inf] * (max(vertices, default=-1) + 1)
+    for v in vertices:
+        delta[v] = len(others[v])
+    growth, every = delta.__getitem__, range(len(delta))
     order, costs, widths, width = [], [], [], 0
-    while delta:
-        v = min(delta.items(), key=_least_delta)[0]
-        del delta[v]
+    for _ in vertices:
+        v = min(every, key=growth)
+        delta[v] = math.inf
         order.append(v)
         cost = width
         for u in others[v]:
-            if u in delta:
+            if delta[u] < math.inf:
                 width += 1
                 cost += 1
                 delta[u] -= 2
@@ -198,21 +211,27 @@ def _greedy(vertices: tuple[int, ...], edges_at: dict[int, list[int]],
                    tuple(sorted(widths, reverse=True)))
 
 
-@lru_cache(maxsize=16)
 def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
           vertices: tuple[int, ...], edges: tuple[int, ...]) -> _Plan | None:
     """Vertex order and DP steps for the live ``vertices`` and ``edges``.
 
-    The order is the one greedy walk of ``_greedy``, from the vertex that
-    widens the frontier least.  A slot holds the load of a vertex from the
-    first step that folds a remainder onto it to its own step; each step
-    frees its own slot before it takes new ones.  None when a live edge
-    has no live end: the permanent is zero.
+    The order is the one greedy walk of ``_greedy``.  None when a live
+    edge has no live end: the permanent is zero.
     """
     ends, edges_at = _structure(incidences, vertices, edges)
     if not all(ends.values()):
         return None
-    order, _ = _greedy(vertices, edges_at, ends)
+    return _steps(_greedy(vertices, _neighbours(vertices, edges_at, ends))[0], edges_at, ends)
+
+
+def _steps(order: list[int], edges_at: dict[int, list[int]],
+           ends: dict[int, dict[int, int]]) -> _Plan:
+    """The DP steps along ``order``, whose live edges all have a live end.
+
+    A slot holds the load of a vertex from the first step that folds a
+    remainder onto it to its own step; each step frees its own slot
+    before it takes new ones.
+    """
     position = {v: i for i, v in enumerate(order)}
     at = {e: sorted(ends[e], key=position.__getitem__) for e in ends}
     folded: dict[int, list[int]] = {v: [] for v in order}   # edges whose remainders land on v
@@ -379,15 +398,21 @@ def cofactor_calculus(state: WeightedState) -> int:
     live_e = sum(w for w in state.edge_weights if w > 0)
     if live_v != live_e:
         raise ValueError("state is not square: vertex and edge weights differ")
-    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
-        return 0  # w identical rows or columns: w! divides the permanent
-    debug = _log.isEnabledFor(logging.DEBUG)
-    start = time.perf_counter() if debug else 0.0
     plan = _plan(state.incidences,
                  tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
                  tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
+    return _residue(state, plan, _log.isEnabledFor(logging.DEBUG))
+
+
+def _residue(state: WeightedState, plan: _Plan | None, debug: bool) -> int:
+    """Residue of the state along its plan, refused (ValueError) when a
+    layer bound passes ``DP_STATE_CAP``; a None plan has a live edge
+    with no live end."""
     if plan is None:
         return 0
+    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
+        return 0  # w identical rows or columns: w! divides the permanent
+    start = time.perf_counter() if debug else 0.0
     loads = _loads(state, plan)
     bounds = _state_bounds(loads, plan.widths)
     largest = max(bounds, default=1)
@@ -407,9 +432,63 @@ def cofactor_calculus(state: WeightedState) -> int:
     return residue
 
 
+def _cheapest(incidences: tuple[tuple[tuple[int, int], ...], ...], vertex_count: int,
+              candidates: Iterable[int]
+              ) -> tuple[int, tuple, list[int], dict[int, list[int]], dict[int, dict[int, int]]]:
+    """The candidate special vertex whose greedy order has the least cost
+    key, ties to the lower index: the vertex, the key, the order and the
+    live structure of the graph there.
+
+    The structure is built once; a candidate only drops itself from its
+    neighbours, and is walked once.
+    """
+    everyone = tuple(range(vertex_count))
+    ends, edges_at = _structure(incidences, everyone, range(len(incidences)))
+    others = _neighbours(everyone, edges_at, ends)
+    best = None
+    for s in candidates:
+        rest = everyone[:s] + everyone[s + 1:]
+        order, key = _greedy(rest, {v: [u for u in others[v] if u != s] for v in rest})
+        if best is None or key < best[1]:
+            best = (s, key, order)
+    s, key, order = best
+    return s, key, order, edges_at, ends | {
+        e: {v: m for v, m in ends[e].items() if v != s} for e in edges_at[s]}
+
+
+def gperm_cofactor_primes(g: OrientedGraph, primes: Iterable[int], choose_special: bool = True
+                          ) -> tuple[int, tuple, tuple[int, ...], float | None]:
+    """Graph permanent of g at each admissible prime, from one plan.
+
+    The plan depends on the incidence structure alone, so it is made
+    once: with ``choose_special`` at the special vertex ``cheapest_special``
+    picks (the residue does not depend on it), otherwise at g's own.
+    Each prime, the largest first, then only sets its weights, checks
+    the plan's layer bounds against ``DP_STATE_CAP`` (ValueError) and
+    runs the DP.  Returns the special vertex, the cost key of its order,
+    the residues in the order of ``primes``, and the seconds spent
+    planning, taken only when the ``egperm`` logger is at DEBUG (None
+    otherwise).
+    """
+    debug = _log.isEnabledFor(logging.DEBUG)
+    start = time.perf_counter() if debug else 0.0
+    primes = tuple(primes)
+    incidences = _incidences(g)
+    special, cost, order, edges_at, ends = _cheapest(
+        incidences, g.vertex_count,
+        range(g.vertex_count) if choose_special else (g.special_vertex,))
+    # a loop is a live edge with no live end, at every prime
+    plan = _steps(order, edges_at, ends) if all(ends.values()) else None
+    planned = time.perf_counter() - start if debug else None
+    spec = block_spec(g)
+    residues = {p: _residue(_graph_state(g, special, spec, incidences, p), plan, debug)
+                for p in sorted(set(primes), reverse=True)}
+    return special, cost, tuple(residues[p] for p in primes), planned
+
+
 def gperm_cofactor(g: OrientedGraph, p: int) -> int:
     """Graph permanent at p via the weighted-graph cofactor calculus."""
-    return cofactor_calculus(state_from_graph(g, p))
+    return gperm_cofactor_primes(g, (p,), choose_special=False)[2][0]
 
 
 def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
@@ -418,15 +497,6 @@ def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
     The residue is the same at every special vertex, so this only chooses
     the cost: each candidate gets one greedy walk over the other vertices
     from the vertex that widens the frontier least, and the least cost key
-    wins, ties to the lower vertex index.  The structure is built once;
-    a candidate only drops itself from its own edges.
+    wins, ties to the lower vertex index.
     """
-    best = None
-    everyone = tuple(range(g.vertex_count))
-    ends, edges_at = _structure(_incidences(g), everyone, range(g.edge_count))
-    for s in everyone:
-        dropped = {e: {v: m for v, m in ends[e].items() if v != s} for e in edges_at[s]}
-        _, key = _greedy(everyone[:s] + everyone[s + 1:], edges_at, ends | dropped)
-        if best is None or key < best[1]:
-            best = (s, key)
-    return best
+    return _cheapest(_incidences(g), g.vertex_count, range(g.vertex_count))[:2]

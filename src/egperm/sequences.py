@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cofactor import cheapest_special, gperm_cofactor
+from .cofactor import gperm_cofactor_primes
 from .graphs import OrientedGraph, block_spec
 from .numtheory import check_bound, mod_tables, require_admissible_primes
 from .permanent import gperm_direct, gperm_reduced
@@ -64,16 +64,6 @@ def _variate(n: int, calE: int) -> bool:
     return (n * calE) % 2 == 1
 
 
-def _one_prime(g: OrientedGraph, p: int, algorithm: str) -> int:
-    # direct and reduced are the cross-check oracles; auto is cofactor at
-    # the special vertex egp chose
-    if algorithm == "direct":
-        return gperm_direct(g, p)
-    if algorithm == "reduced":
-        return gperm_reduced(g, p)
-    return gperm_cofactor(g, p)
-
-
 def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
         graph_id: str = "", merge_components: bool = False) -> EgpSequence:
     """Uncanonicalized EGP sequence under the graph's stored orientation.
@@ -97,24 +87,24 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
     spec = block_spec(g)
     primes = require_admissible_primes(spec.calV, bound)
     if not g.is_connected():
-        values = tuple(
-            EgpValue(p, (p - 1) // spec.calV, 0,
-                     _variate((p - 1) // spec.calV, spec.calE))
-            for p in primes)
-        return EgpSequence(graph_id, spec.calV, spec.calE, values)
-    if algorithm == "auto":
-        special, cost = cheapest_special(g)
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("egp %s: special vertex %d (given %d), cost key %s",
-                       graph_id or "-", special, g.special_vertex, cost)
-        g = g.with_special(special)
+        residues = [0] * len(primes)
+    elif algorithm in ("auto", "cofactor"):
+        special, cost, residues, planned = gperm_cofactor_primes(
+            g, primes, choose_special=algorithm == "auto")
+        if planned is not None:
+            _log.debug("egp %s: special vertex %d (given %d), cost key %s, "
+                       "planned in %.4f s", graph_id or "-", special,
+                       g.special_vertex, cost, planned)
+    else:
+        # direct and reduced are the cross-check oracles; largest prime
+        # first, so a lattice over its cap fails before any work
+        oracle = gperm_direct if algorithm == "direct" else gperm_reduced
+        residues = [oracle(g, p) for p in reversed(primes)][::-1]
     values = []
-    # largest prime first: a DP or lattice over its cap fails before any work
-    for p in reversed(primes):
+    for p, residue in zip(primes, residues):
         n = (p - 1) // spec.calV
-        residue = _one_prime(g, p, algorithm)
         values.append(EgpValue(p, n, residue, _variate(n, spec.calE)))
-    return EgpSequence(graph_id, spec.calV, spec.calE, tuple(reversed(values)))
+    return EgpSequence(graph_id, spec.calV, spec.calE, tuple(values))
 
 
 def _merge_components(g: OrientedGraph) -> OrientedGraph:

@@ -1,4 +1,5 @@
 import logging
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from egperm.catalog import get_entry
 import egperm.cofactor as cofactor
 from egperm.cofactor import (
-    WeightedState, _greedy, _incidences, _loads, _plan, _state_bounds, _structure,
-    _transfer, cheapest_special, cofactor_calculus, gperm_cofactor, state_from_graph,
+    WeightedState, _greedy, _incidences, _loads, _neighbours, _plan, _state_bounds, _steps,
+    _structure, _transfer, cheapest_special, cofactor_calculus, gperm_cofactor,
+    gperm_cofactor_primes, state_from_graph,
 )
 from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
@@ -276,7 +278,8 @@ def test_cheapest_special_small_graphs():
 
 def _same_walk(incidences, vertices, edges):
     ends, edges_at = _structure(incidences, vertices, edges)
-    assert _greedy(vertices, edges_at, ends) == greedy_reference(vertices, edges_at, ends)
+    assert (_greedy(vertices, _neighbours(vertices, edges_at, ends))
+            == greedy_reference(vertices, edges_at, ends))
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,3 +403,80 @@ def test_state_cap_refuses_before_any_prime_runs(monkeypatch):
         egp(g, 41)
     assert not runs
     assert egp(g, 37).primes()[-1] == 37 and runs
+
+
+def test_cofactor_refuses_before_any_prime_runs(monkeypatch):
+    # as above, at the graph's own special vertex
+    g = get_entry("P_7_10").decompletion()
+    state = state_from_graph(g, 41)
+    plan = _live_plan(state)
+    monkeypatch.setattr(cofactor, "DP_STATE_CAP",
+                        max(_state_bounds(_loads(state, plan), plan.widths)) - 1)
+    runs = []
+    monkeypatch.setattr(cofactor, "_transfer",
+                        lambda *args: runs.append(args) or _transfer(*args))
+    with pytest.raises(ValueError, match="DP_STATE_CAP"):
+        egp(g, 41, algorithm="cofactor")
+    assert not runs
+    assert egp(g, 37, algorithm="cofactor").primes()[-1] == 37 and runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_sequence_plan_matches_per_prime_calculus(g):
+    # one plan per sequence gives the residues of planning every prime
+    # afresh, at every special vertex, and auto plans where
+    # cheapest_special points
+    primes = admissible_primes(block_spec(g).calV, 23)
+    assume(primes)
+    for s in range(g.vertex_count):
+        h = g.with_special(s)
+        want = [cofactor_calculus(state_from_graph(h, p)) for p in primes]
+        if h.is_connected():
+            assert egp(h, 23, algorithm="cofactor").residues() == want, h
+            assert egp(h, 23).residues() == want, h
+        else:
+            assert want == [0] * len(primes)
+        special, cost, residues, _ = gperm_cofactor_primes(h, primes)
+        assert residues == tuple(want)
+        assert (special, cost) == cheapest_special(h)
+
+
+def test_one_walk_per_candidate_and_one_plan_per_sequence(monkeypatch):
+    g = wheel(6)
+    walks, plans = [], []
+    monkeypatch.setattr(cofactor, "_greedy",
+                        lambda *args: walks.append(args[0]) or _greedy(*args))
+    monkeypatch.setattr(cofactor, "_steps",
+                        lambda *args: plans.append(_steps(*args)) or plans[-1])
+    seq = egp(g, 61)
+    assert len(seq.values) == 17
+    assert [set(range(7)) - set(w) for w in walks] == [{s} for s in range(7)]
+    # the plan is the one _plan makes at the chosen special vertex
+    special = cheapest_special(g)[0]
+    (plan,) = plans
+    assert plan == _live_plan(state_from_graph(g.with_special(special), 61))
+
+
+class _Clock:
+    def __init__(self):
+        self.calls = 0
+
+    def perf_counter(self):
+        self.calls += 1
+        return 0.0
+
+
+def test_planning_seconds_logged_at_debug_only(caplog, monkeypatch):
+    g = get_entry("P_6_1").decompletion()
+    clock = _Clock()
+    monkeypatch.setattr(cofactor, "time", SimpleNamespace(perf_counter=clock.perf_counter))
+    with caplog.at_level(logging.INFO, logger="egperm"):
+        info = egp(g, 41, graph_id="P_6_1")
+    assert not caplog.records and clock.calls == 0
+    with caplog.at_level(logging.DEBUG, logger="egperm"):
+        assert egp(g, 41, graph_id="P_6_1") == info
+    (chosen,) = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("egp P_6_1: special vertex")]
+    assert chosen.endswith("planned in 0.0000 s")
+    assert clock.calls > 0

@@ -1,10 +1,13 @@
-"""Print the exit code and the sha256 of standard output of the four `egp`
+"""Print the exit code and the sha256 of standard output of the six `egp`
 runs whose output a change that keeps the residues must leave
-byte-identical: both appendix tables at bound 41, every verify suite, and
+byte-identical: both appendix tables at bound 41, every verify suite,
 table A at bound 13 through the `reduced` oracle, the one run that
-reaches the block permanent kernel (`permanent.block_perm_mod`).  `table`
-prints only the status of each row, so the last run hashes like table A
-when every cell agrees.
+reaches the block permanent kernel (`permanent.block_perm_mod`), and the
+JSON sequence of P_8_41 at bound 61 through `auto` and `cofactor`.
+`table` prints only the status of each row, so the `reduced` run hashes
+like table A when every cell agrees; the two `compute` runs are the ones
+whose output carries the cofactor engine's residues, and they hash alike
+because the residue does not depend on the special vertex.
 
 Usage: python tools/output_hashes.py
 
@@ -26,6 +29,10 @@ RUNS = (
     ("table", "--appendix", "B", "--bound", "41"),
     ("verify", "--suite", "all"),
     ("table", "--appendix", "A", "--bound", "13", "--algorithm", "reduced"),
+    ("compute", "--graph", "catalog:P_8_41", "--bound", "61", "--json",
+     "--algorithm", "auto"),
+    ("compute", "--graph", "catalog:P_8_41", "--bound", "61", "--json",
+     "--algorithm", "cofactor"),
 )
 
 
