@@ -1,10 +1,12 @@
-"""Weighted-graph cofactor calculus for block permanents.
+"""Cofactor DP for the graph permanent of one graph at its admissible primes.
 
-The block permanent of an incidence-type matrix is encoded as a weighted
-graph: vertex weights count row copies, edge weights count column
-copies.  Expanding all rows of a vertex v of weight W over its incident
-edges, of remaining weights cap_1..cap_d and matrix entries m_1..m_d,
-gives ``sum over k_1+..+k_d = W of W! * prod C(cap_j, k_j) m_j^{k_j}``,
+At the prime p = n*calV + 1 the graph permanent is the permanent of the
+block matrix ``1_{n*calV x n*calE} (x) M``, where M is the signed
+incidence matrix without the special vertex's row: each other vertex
+gives V = n*calV copies of its row, each edge E = n*calE copies of its
+column.  Expanding the V rows of a vertex v over its edges, of remaining
+caps cap_1..cap_d and entries m_1..m_d (+1 at the head, -1 at the tail),
+gives ``sum over k_1+..+k_d = V of V! * prod C(cap_j, k_j) m_j^{k_j}``,
 after which v is gone and every cap_j drops by k_j.  Expanding every
 vertex in turn gives the permanent, whatever the order of the vertices;
 the order only sets the cost.
@@ -14,23 +16,23 @@ expansion factors edge by edge, so an edge's remainder is settled as
 soon as its first live end is expanded: the other end must take all of
 it, with the factor ``m^r`` of its entry there.  That step folds the
 remainder ``r`` into the *load* of the other end and ``m^r`` into the
-move's coefficient; an edge with one live end is a fixed part of its
-vertex's load.  So the future of a state depends only on the load of
-each pending vertex, and states that split one load differently over
-edges merge.  A DP state is one int in mixed radix, one digit (slot) per
-loaded vertex, mapped to its coefficient mod p; a slot is freed when its
-vertex is expanded and reused after that, and only two layers of states
-are alive at a time.  Each step builds one table of the ways to spread
-weight over the edges its vertex enters, indexed by *need*, the weight
-those edges take, as ``(increment, coefficient)`` pairs with ``W!`` and
-the one-end edges folded in.  It holds only the needs the step can meet:
-a vertex whose load is at most L takes needs ``room - L .. room``, where
-``room`` is its weight less its one-end edges, and an unloaded vertex
-takes ``room`` alone.  A state of load d takes the entry at
-``room - d``, whose increments also clear d from its slot, so it pays
-one read of its load digit and one add and multiply per move.  An edge
-of positive weight with no live end (a loop, or an edge into the special
-vertex only) is a column no row can cover, so the permanent vanishes.
+move's coefficient; an edge with one live end (an edge into the special
+vertex) is a fixed part of its vertex's load.  So the future of a state
+depends only on the load of each pending vertex, and states that split
+one load differently over edges merge.  A DP state is one int in mixed
+radix, one digit (slot) per loaded vertex, mapped to its coefficient mod
+p; a slot is freed when its vertex is expanded and reused after that,
+and only two layers of states are alive at a time.  Each step builds one
+table of the ways to spread weight over the edges its vertex enters,
+indexed by *need*, the weight those edges take, as ``(increment,
+coefficient)`` pairs with ``V!`` and the one-end edges folded in.  It
+holds only the needs the step can meet: a vertex whose load is at most
+L takes needs ``room - L .. room``, where ``room`` is V less its one-end
+edges, and an unloaded vertex takes ``room`` alone.  A state of load d
+takes the entry at ``room - d``, whose increments also clear d from its
+slot, so it pays one read of its load digit and one add and multiply per
+move.  An edge with no live end (a loop, whose column nets to zero) is a
+column no row can cover, so the permanent vanishes at every prime.
 
 The layers are bounded before any state exists: after a step the w
 load slots in use sum to a fixed T, so the layer holds at most
@@ -42,7 +44,7 @@ largest, first.
 The order is planned from the incidence structure alone, which is the
 same at every admissible prime, so ``gperm_cofactor_primes`` plans a
 sequence once, special vertex, order and DP steps alike, and each prime
-then only sets its weights, checks the cap and runs the DP; nothing is
+then only sets V and E, checks the cap and runs the DP; nothing is
 cached from one call to the next.  One greedy walk starts at the vertex
 that widens the frontier least and keeps adding such a vertex (ties to
 the lower vertex index).  Each step of an order is costed by the
@@ -72,11 +74,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import BlockSpec, OrientedGraph, block_spec
+from .graphs import OrientedGraph, block_spec
 from .numtheory import mod_tables
 
-__all__ = ["WeightedState", "state_from_graph", "cofactor_calculus", "gperm_cofactor_primes",
-           "gperm_cofactor", "cheapest_special"]
+__all__ = ["gperm_cofactor_primes", "gperm_cofactor", "cheapest_special"]
 
 _log = logging.getLogger("egperm")
 
@@ -86,52 +87,6 @@ _log = logging.getLogger("egperm")
 # layer on P_8_41 at p = 61..101, c13_1_5 at 41 and c15_1_4 at 23, so a DP
 # at the cap peaks below about 600 MB.  Table A at bound 41 reaches 12,341.
 DP_STATE_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class WeightedState:
-    """Weighted graph encoding of ``Perm(matrix)`` for one modulus.
-
-    ``incidences[e]`` lists (vertex, entry) pairs for edge e, any matrix
-    entries; ``cofactor_calculus`` takes at most two pairs per edge, at
-    distinct vertices.  A weight of -1 marks a dead vertex/edge.
-    Squareness (sum of live vertex weights == sum of live edge weights) is
-    required for a nonzero permanent.
-    """
-
-    vertex_weights: tuple[int, ...]
-    edge_weights: tuple[int, ...]
-    incidences: tuple[tuple[tuple[int, int], ...], ...]
-    modulus: int
-
-
-def _incidences(g: OrientedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(vertex, entry) pairs of each edge, at every vertex.
-
-    The special vertex weighs 0, so ``_structure`` drops its incidences
-    as it drops those of any dead vertex.  A loop nets to a zero column,
-    as in ``full_incidence``.
-    """
-    return tuple(() if t == h else ((h, 1), (t, -1)) for t, h in g.edges)
-
-
-def state_from_graph(g: OrientedGraph, p: int) -> WeightedState:
-    """Initial state for GPerm at prime p: vertices weigh n*calV, edges n*calE."""
-    return _graph_state(g, g.special_vertex, block_spec(g), _incidences(g), p)
-
-
-def _graph_state(g: OrientedGraph, special: int, spec: BlockSpec,
-                 incidences: tuple[tuple[tuple[int, int], ...], ...], p: int) -> WeightedState:
-    """``state_from_graph`` at the special vertex ``special``, from g's block
-    spec and incidences."""
-    n = spec.admissible_n(p)
-    return WeightedState(
-        vertex_weights=tuple(0 if v == special else n * spec.calV
-                             for v in range(g.vertex_count)),
-        edge_weights=(n * spec.calE,) * g.edge_count,
-        incidences=incidences,
-        modulus=p,
-    )
 
 
 @dataclass(frozen=True)
@@ -156,13 +111,14 @@ class _Plan:
     steps: tuple[_Step, ...]
 
 
-def _structure(incidences: tuple[tuple[tuple[int, int], ...], ...],
-               vertices: tuple[int, ...], edges: Iterable[int]
-               ) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
-    """Live incidences ``{edge: {vertex: entry}}`` and the live edges at each vertex."""
-    live = set(vertices)
-    ends = {e: {v: m for v, m in incidences[e] if v in live} for e in edges}
-    edges_at: dict[int, list[int]] = {v: [] for v in vertices}
+def _structure(g: OrientedGraph) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
+    """Incidences ``{edge: {vertex: entry}}`` of g, at every vertex, and the edges at each vertex.
+
+    An edge's entry is +1 at its head and -1 at its tail.  A loop nets to
+    a zero column, as in ``full_incidence``, so it has no ends.
+    """
+    ends = {e: {} if t == h else {h: 1, t: -1} for e, (t, h) in enumerate(g.edges)}
+    edges_at: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
     for e, at in ends.items():
         for v in at:
             edges_at[v].append(e)
@@ -209,19 +165,6 @@ def _greedy(vertices: tuple[int, ...], others: dict[int, list[int]]) -> tuple[li
         widths.append(width)
     return order, (tuple(sorted(costs, reverse=True)), max(widths, default=0),
                    tuple(sorted(widths, reverse=True)))
-
-
-def _plan(incidences: tuple[tuple[tuple[int, int], ...], ...],
-          vertices: tuple[int, ...], edges: tuple[int, ...]) -> _Plan | None:
-    """Vertex order and DP steps for the live ``vertices`` and ``edges``.
-
-    The order is the one greedy walk of ``_greedy``.  None when a live
-    edge has no live end: the permanent is zero.
-    """
-    ends, edges_at = _structure(incidences, vertices, edges)
-    if not all(ends.values()):
-        return None
-    return _steps(_greedy(vertices, _neighbours(vertices, edges_at, ends))[0], edges_at, ends)
 
 
 def _steps(order: list[int], edges_at: dict[int, list[int]],
@@ -307,14 +250,13 @@ def _spread(p: int, lo: int, hi: int, caps: tuple[int, ...], rows: list[list[int
     return partial
 
 
-def _loads(state: WeightedState, plan: _Plan) -> list[int]:
-    """The sum of the load slots after each step, whatever the state: the
-    edge weight entered so far less the vertex weight expanded."""
-    weights, vweights = state.edge_weights, state.vertex_weights
+def _loads(plan: _Plan, vertex: int, edge: int) -> list[int]:
+    """The sum of the load slots after each step, whatever the state, where
+    vertices weigh ``vertex`` and edges ``edge``: the edge weight entered so
+    far less the vertex weight expanded."""
     loads, total = [], 0
     for step in plan.steps:
-        total += sum(weights[e] for e in step.forced + step.entering)
-        total -= vweights[step.vertex]
+        total += edge * (len(step.forced) + len(step.entering)) - vertex
         loads.append(total)
     return loads
 
@@ -326,8 +268,10 @@ def _state_bounds(loads: list[int], widths: tuple[int, ...]) -> list[int]:
             for t, w in zip(loads, widths)]
 
 
-def _transfer(state: WeightedState, plan: _Plan, loads: list[int]) -> tuple[int, int]:
-    """Residue of the state along the plan, and the DP states visited.
+def _transfer(plan: _Plan, loads: list[int], vertex: int, edge: int, p: int
+              ) -> tuple[int, int]:
+    """Residue mod p along the plan, where vertices weigh ``vertex`` and
+    edges ``edge``, and the DP states visited.
 
     A state is one int: slot s holds digit s in radix ``base``.  The
     slots after a step sum to ``loads`` of that step, whatever the state,
@@ -335,32 +279,28 @@ def _transfer(state: WeightedState, plan: _Plan, loads: list[int]) -> tuple[int,
     builds one table of the ways to spread weight over its entering
     edges, by need; a state of load d takes the entry at ``room - d``.
     """
-    p = state.modulus
     tb = mod_tables(p)
-    weights, vweights = state.edge_weights, state.vertex_weights
     base = max([0, *loads]) + 1
     place = [base ** s for s in range(max(plan.widths, default=0) + 1)]
-    row_cache: dict[tuple[int, int, int], list[int]] = {}
+    row_cache: dict[tuple[int, int], list[int]] = {}
 
-    def row(cap: int, m: int, fold: int) -> list[int]:
-        # C(cap, k) m^k fold^(cap - k) for k = 0..cap
-        key = (cap, m, fold)
-        if key not in row_cache:
-            row_cache[key] = [tb.binom(cap, k) * pow(m, k, p) * pow(fold, cap - k, p) % p
-                              for k in range(cap + 1)]
-        return row_cache[key]
+    def row(m: int, fold: int) -> list[int]:
+        # C(edge, k) m^k fold^(edge - k) for k = 0..edge
+        if (m, fold) not in row_cache:
+            row_cache[m, fold] = [tb.binom(edge, k) * pow(m, k, p) * pow(fold, edge - k, p) % p
+                                  for k in range(edge + 1)]
+        return row_cache[m, fold]
 
     layer: dict[int, int] = {0: 1}
     visited = 0
     for step in plan.steps:
-        w = vweights[step.vertex]
-        factor = tb.fact[w]
-        for e, m in zip(step.forced, step.forced_entries):
-            factor = factor * pow(m, weights[e], p) % p
-        room = w - sum(weights[e] for e in step.forced)
-        entering = tuple(weights[e] for e in step.entering)
-        load = sum(weights[e] for e in step.folded)   # the most its load digit holds
-        rows = [row(*a) for a in zip(entering, step.entries, step.folds)]
+        factor = tb.fact[vertex]
+        for m in step.forced_entries:
+            factor = factor * pow(m, edge, p) % p
+        room = vertex - edge * len(step.forced)
+        entering = (edge,) * len(step.entering)
+        load = edge * len(step.folded)   # the most its load digit holds
+        rows = [row(*a) for a in zip(step.entries, step.folds)]
         # the load digit; a place above every slot reads 0 on an unloaded
         # vertex, whose increments then clear nothing
         div = place[step.load]
@@ -383,67 +323,41 @@ def _transfer(state: WeightedState, plan: _Plan, loads: list[int]) -> tuple[int,
     return layer.get(0, 0), visited
 
 
-def cofactor_calculus(state: WeightedState) -> int:
-    """Permanent residue of the matrix encoded by the weighted state.
-
-    Raises ValueError for an edge with more than two incidences or one
-    that lists a vertex twice.
-    """
-    for e, inc in enumerate(state.incidences):
-        if len(inc) > 2:
-            raise ValueError(f"edge {e} has {len(inc)} incidences; at most two are allowed")
-        if len(inc) == 2 and inc[0][0] == inc[1][0]:
-            raise ValueError(f"edge {e} lists vertex {inc[0][0]} twice")
-    live_v = sum(w for w in state.vertex_weights if w > 0)
-    live_e = sum(w for w in state.edge_weights if w > 0)
-    if live_v != live_e:
-        raise ValueError("state is not square: vertex and edge weights differ")
-    plan = _plan(state.incidences,
-                 tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
-                 tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
-    return _residue(state, plan, _log.isEnabledFor(logging.DEBUG))
-
-
-def _residue(state: WeightedState, plan: _Plan | None, debug: bool) -> int:
-    """Residue of the state along its plan, refused (ValueError) when a
-    layer bound passes ``DP_STATE_CAP``; a None plan has a live edge
-    with no live end."""
-    if plan is None:
-        return 0
-    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
+def _residue(g: OrientedGraph, special: int, plan: _Plan, vertex: int, edge: int, p: int,
+             debug: bool) -> int:
+    """Residue mod p of g at the special vertex ``special`` along its plan,
+    where vertices weigh ``vertex`` and edges ``edge``; refused
+    (ValueError) when a layer bound passes ``DP_STATE_CAP``."""
+    if max(vertex, edge) >= p:
         return 0  # w identical rows or columns: w! divides the permanent
     start = time.perf_counter() if debug else 0.0
-    loads = _loads(state, plan)
+    loads = _loads(plan, vertex, edge)
     bounds = _state_bounds(loads, plan.widths)
     largest = max(bounds, default=1)
     if largest > DP_STATE_CAP:
-        raise ValueError(f"a cofactor DP layer at p = {state.modulus} may hold "
+        raise ValueError(f"a cofactor DP layer at p = {p} may hold "
                          f"{largest} states, over the cap DP_STATE_CAP = {DP_STATE_CAP}")
-    residue, visited = _transfer(state, plan, loads)
+    residue, visited = _transfer(plan, loads, vertex, edge, p)
     if debug:
-        dead = [v for v, w in enumerate(state.vertex_weights) if w <= 0]
-        _log.debug("cofactor: %d vertices, special %s, %d edges, p=%d: order %s, "
+        _log.debug("cofactor: %d vertices, special %d, %d edges, p=%d: order %s, "
                    "max width %d, %d states (bound %d), %d move sets, %.4f s",
-                   len(state.vertex_weights),
-                   ",".join(map(str, dead)) or "none",
-                   len(state.edge_weights), state.modulus, list(plan.order),
+                   g.vertex_count, special, g.edge_count, p, list(plan.order),
                    max(plan.widths, default=0), visited, sum(bounds),
                    len(plan.steps), time.perf_counter() - start)
     return residue
 
 
-def _cheapest(incidences: tuple[tuple[tuple[int, int], ...], ...], vertex_count: int,
-              candidates: Iterable[int]
+def _cheapest(g: OrientedGraph, candidates: Iterable[int]
               ) -> tuple[int, tuple, list[int], dict[int, list[int]], dict[int, dict[int, int]]]:
     """The candidate special vertex whose greedy order has the least cost
     key, ties to the lower index: the vertex, the key, the order and the
-    live structure of the graph there.
+    live structure of g there.
 
     The structure is built once; a candidate only drops itself from its
     neighbours, and is walked once.
     """
-    everyone = tuple(range(vertex_count))
-    ends, edges_at = _structure(incidences, everyone, range(len(incidences)))
+    everyone = tuple(range(g.vertex_count))
+    ends, edges_at = _structure(g)
     others = _neighbours(everyone, edges_at, ends)
     best = None
     for s in candidates:
@@ -462,32 +376,33 @@ def gperm_cofactor_primes(g: OrientedGraph, primes: Iterable[int], choose_specia
 
     The plan depends on the incidence structure alone, so it is made
     once: with ``choose_special`` at the special vertex ``cheapest_special``
-    picks (the residue does not depend on it), otherwise at g's own.
-    Each prime, the largest first, then only sets its weights, checks
-    the plan's layer bounds against ``DP_STATE_CAP`` (ValueError) and
-    runs the DP.  Returns the special vertex, the cost key of its order,
-    the residues in the order of ``primes``, and the seconds spent
-    planning, taken only when the ``egperm`` logger is at DEBUG (None
-    otherwise).
+    picks (the residue does not depend on it), otherwise at g's own.  A
+    loop is a column no row covers, so it gives 0 at every prime.  Each
+    prime, the largest first, then only sets the weights n*calV and
+    n*calE, checks the plan's layer bounds against ``DP_STATE_CAP``
+    (ValueError) and runs the DP.  Returns the special vertex, the cost
+    key of its order, the residues in the order of ``primes``, and the
+    seconds spent planning, taken only when the ``egperm`` logger is at
+    DEBUG (None otherwise).
     """
     debug = _log.isEnabledFor(logging.DEBUG)
     start = time.perf_counter() if debug else 0.0
     primes = tuple(primes)
-    incidences = _incidences(g)
     special, cost, order, edges_at, ends = _cheapest(
-        incidences, g.vertex_count,
-        range(g.vertex_count) if choose_special else (g.special_vertex,))
-    # a loop is a live edge with no live end, at every prime
+        g, range(g.vertex_count) if choose_special else (g.special_vertex,))
     plan = _steps(order, edges_at, ends) if all(ends.values()) else None
     planned = time.perf_counter() - start if debug else None
     spec = block_spec(g)
-    residues = {p: _residue(_graph_state(g, special, spec, incidences, p), plan, debug)
-                for p in sorted(set(primes), reverse=True)}
+    residues = {}
+    for p in sorted(set(primes), reverse=True):
+        n = spec.admissible_n(p)
+        residues[p] = 0 if plan is None else _residue(
+            g, special, plan, n * spec.calV, n * spec.calE, p, debug)
     return special, cost, tuple(residues[p] for p in primes), planned
 
 
 def gperm_cofactor(g: OrientedGraph, p: int) -> int:
-    """Graph permanent at p via the weighted-graph cofactor calculus."""
+    """Graph permanent of g at p by the cofactor DP, at g's own special vertex."""
     return gperm_cofactor_primes(g, (p,), choose_special=False)[2][0]
 
 
@@ -499,4 +414,4 @@ def cheapest_special(g: OrientedGraph) -> tuple[int, tuple]:
     from the vertex that widens the frontier least, and the least cost key
     wins, ties to the lower vertex index.
     """
-    return _cheapest(_incidences(g), g.vertex_count, range(g.vertex_count))[:2]
+    return _cheapest(g, range(g.vertex_count))[:2]

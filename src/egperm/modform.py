@@ -14,6 +14,7 @@ import csv
 import re
 from dataclasses import dataclass
 
+from .numtheory import BOUND_CAP
 from .sequences import EgpSequence, sequence_from_row, sequences_equal
 
 __all__ = [
@@ -156,7 +157,11 @@ def eta_expand(product: EtaProduct, terms: int = DEFAULT_TERMS) -> CoeffSeries:
 
 
 def series_from_csv(path: str, label: str | None = None) -> CoeffSeries:
-    """Read ``n,a_n`` rows (optional header) into a coefficient series."""
+    """Read ``n,a_n`` rows (optional header) into a coefficient series.
+
+    The series is dense up to its largest n, so an n past ``BOUND_CAP``,
+    beyond every prime a sequence reaches, is refused with ValueError.
+    """
     entries: dict[int, int] = {}
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -165,6 +170,8 @@ def series_from_csv(path: str, label: str | None = None) -> CoeffSeries:
             if len(row) < 2:
                 raise ValueError(f"{path}: row {row!r} needs the two fields n,a_n")
             n, a_n = int(row[0]), int(row[1])
+            if n > BOUND_CAP:
+                raise ValueError(f"{path}: index {n} is past the prime bound limit {BOUND_CAP}")
             entries[n] = a_n
     if not entries:
         raise ValueError(f"no coefficient rows in {path}")

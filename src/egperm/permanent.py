@@ -27,15 +27,16 @@ column's also ``log 2`` on the doubled slices), and each row adds
 nonzero columns, so rows whose axes lie inside a wider row's are summed
 on that row's sub-lattice first, and only one addition per such group
 spans the whole lattice.  A row value that is 0 mod p adds a
-sentinel above every sum of nonzero factors.  One histogram of the sums,
-clipped at the sentinel and folded mod p-1, then gives the total exactly
-(``ModTables.exp_sum``).  The sums live in the narrowest signed dtype
-that holds the largest of them and the widest shifted row value.
+sentinel above every sum of nonzero factors.  One histogram of the sums
+then gives the total exactly (``ModTables.exp_sum``): its counts below
+the sentinel fold mod p-1, and those at or above it are dropped.  The
+sums live in the narrowest signed dtype that holds the largest of them
+and the widest shifted row value.
 
 On top of these sit the graph permanents ``gperm_direct`` and
 ``gperm_reduced`` and the unimodular row reduction used by the latter.
-Everything here is a cross-check oracle: the production path (``auto``)
-is the cofactor calculus in ``cofactor.gperm_cofactor``.
+Everything here is a cross-check oracle: the production path (``auto``
+and ``cofactor``) is the cofactor DP, ``cofactor.gperm_cofactor_primes``.
 """
 
 from __future__ import annotations

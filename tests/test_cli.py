@@ -124,6 +124,30 @@ def test_modform_compare_refuses_primes_past_the_series(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("compute",), ("pointcount", "-p", "7")])
+def test_absurd_vertex_count_exits_2(tmp_path, capsys, argv):
+    # a header of 10^9 vertices ran out of memory in components()
+    path = tmp_path / "huge.graph"
+    path.write_text("V 1000000000\n0 1\n")
+    with deadline(1):
+        code, out, err = run(capsys, *argv, "--graph", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "1000000000" in err
+    assert err.count("\n") == 1
+
+
+def test_modform_compare_csv_index_past_the_bound_cap_exits_2(tmp_path, capsys):
+    # the series is dense up to its largest n; 10^10 ran out of memory
+    path = tmp_path / "far.csv"
+    path.write_text("10000000000,5\n")
+    with deadline(1):
+        code, out, err = run(capsys, "modform-compare", "--graph", "catalog:P_3_1",
+                             "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "10000000000" in err
+    assert err.count("\n") == 1
+
+
 def test_dp_state_cap_exits_2_before_the_work(capsys):
     # at p = 397 a DP layer of P_8_41 may hold over ten million states;
     # without the cap this ran for minutes

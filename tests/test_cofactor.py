@@ -1,6 +1,7 @@
 import logging
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 from egperm.catalog import get_entry
 import egperm.cofactor as cofactor
 from egperm.cofactor import (
-    WeightedState, _greedy, _incidences, _loads, _neighbours, _plan, _state_bounds, _steps,
-    _structure, _transfer, cheapest_special, cofactor_calculus, gperm_cofactor,
-    gperm_cofactor_primes, state_from_graph,
+    _cheapest, _greedy, _loads, _state_bounds, _steps, _transfer, cheapest_special,
+    gperm_cofactor, gperm_cofactor_primes,
 )
 from egperm.graphs import (
-    banana, block_spec, build_graph, circulant, cycle, decomplete, wheel, zigzag,
+    banana, block_spec, build_graph, circulant, cycle, decomplete, reduced_incidence, wheel,
+    zigzag,
 )
 from egperm.numtheory import admissible_primes
 from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
@@ -91,14 +92,6 @@ def test_auto_on_loop_graph():
     assert seq.residues() == egp(g, 41, algorithm="reduced").residues()
 
 
-def test_state_weights():
-    # K4 at p = 5: n = 2, calV = 2, calE = 1
-    st = state_from_graph(zigzag(4), 5)
-    assert st.modulus == 5
-    assert sorted(st.vertex_weights) == [0, 4, 4, 4]
-    assert st.edge_weights == (2,) * 6
-
-
 @st.composite
 def multigraphs(draw):
     # parallel edges and disconnected graphs come up, a loop in a quarter of
@@ -131,64 +124,25 @@ def test_weight_beyond_modulus_vanishes():
     # one edge on three vertices: calE = 2, so at p = 3 its 4 copies exceed
     # p - 1, and 4! divides the permanent
     g = build_graph([(1, 2)], 3, 0)
-    assert state_from_graph(g, 3).edge_weights == (4,)
+    spec = block_spec(g)
+    assert spec.admissible_n(3) * spec.calE == 4
     assert [gperm_cofactor(g, p) for p in (2, 3, 5, 7)] == [0, 0, 0, 0]
 
 
-def test_edges_beyond_a_graph_rejected():
-    # the engine computes graphs: an edge meets at most two distinct vertices
-    hyperedge = WeightedState(
-        vertex_weights=(2, 1, 2),
-        edge_weights=(2, 2, 1),
-        incidences=(((0, 1), (1, -1), (2, 2)), ((0, 1), (2, 3)), ((1, 1), (2, -1))),
-        modulus=7,
-    )
-    with pytest.raises(ValueError, match="edge 0 has 3 incidences"):
-        cofactor_calculus(hyperedge)
-    repeated = WeightedState((1, 1), (1, 1), (((0, 1), (1, 1)), ((1, 2), (1, -1))), 7)
-    with pytest.raises(ValueError, match="edge 1 lists vertex 1 twice"):
-        cofactor_calculus(repeated)
-
-
-def _matrix(state):
-    # rows are vertex copies, columns edge copies
-    rows = [v for v, w in enumerate(state.vertex_weights) for _ in range(w)]
-    cols = [e for e, w in enumerate(state.edge_weights) for _ in range(w)]
-    entries = [dict(inc) for inc in state.incidences]
-    return [[entries[e].get(v, 0) for e in cols] for v in rows]
-
-
-@st.composite
-def square_states(draw):
-    # 2-4 vertices and 2-4 edges of one or two ends; edge weights of 1
-    # and 3 give the forced edges odd caps, so a negative entry's sign must
-    # survive; at most 7 rows keep the Leibniz sum small
-    nv, ne = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    entry = st.sampled_from((-2, -1, 1, 2, 3))
-    incidences = tuple(
-        tuple((v, draw(entry)) for v in draw(st.sets(st.integers(0, nv - 1),
-                                                     min_size=1, max_size=2)))
-        for _ in range(ne))
-    edge_weights = []
-    for i in range(ne):
-        room = 7 - sum(edge_weights) - (ne - 1 - i)
-        edge_weights.append(draw(st.sampled_from([w for w in (1, 3, 2) if w <= room])))
-    edge_weights = tuple(edge_weights)
-    total = sum(edge_weights)
-    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nv - 1,
-                                max_size=nv - 1)))
-    vertex_weights = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
-    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
-    return WeightedState(vertex_weights, edge_weights, incidences, p)
-
-
 @settings(max_examples=150, deadline=None)
-@given(square_states())
-def test_forced_factor_against_leibniz(state):
-    # the forced factor W! prod m^cap is taken apart from the spread over the
-    # free edges; entries other than +-1 and odd caps test both halves
-    want = perm_leibniz(_matrix(state)) % state.modulus
-    assert cofactor_calculus(state) == want, state
+@given(multigraphs())
+def test_block_permanent_against_leibniz(g):
+    # the permanent of 1_{n calV x n calE} (x) M by its definition sum, at
+    # every special vertex and every prime whose block has at most 8 rows;
+    # a disconnected graph or a loop gives 0 there too
+    for s in range(g.vertex_count):
+        h = g.with_special(s)
+        spec = block_spec(h)
+        m = reduced_incidence(h)
+        for p in admissible_primes(spec.calV, 8 // spec.L * spec.calV + 1):
+            n = spec.admissible_n(p)
+            block = np.kron(np.ones((n * spec.calV, n * spec.calE), dtype=np.int64), m)
+            assert gperm_cofactor(h, p) == perm_leibniz(block) % p, (h, p)
 
 
 @st.composite
@@ -272,34 +226,18 @@ def test_cheapest_special_small_graphs():
     assert cheapest_special(g) == (1, ((1, 1, 0), 1, (1, 0, 0)))
     s, (costs, max_width, widths) = cheapest_special(wheel(6, special=2))
     assert s == 6 and max_width == 2 and costs[0] == 3
-    # no live vertex: an empty matrix, whose permanent is 1
-    assert cofactor_calculus(WeightedState((0,), (), (), 5)) == 1
-
-
-def _same_walk(incidences, vertices, edges):
-    ends, edges_at = _structure(incidences, vertices, edges)
-    assert (_greedy(vertices, _neighbours(vertices, edges_at, ends))
-            == greedy_reference(vertices, edges_at, ends))
 
 
 @settings(max_examples=150, deadline=None)
 @given(multigraphs())
 def test_greedy_matches_reference_walk_on_multigraphs(g):
     # the walk that updates neighbours only when an edge's growth changes
-    # keeps the order and cost key of the walk that recounts them all
+    # keeps the order and cost key of the walk that recounts them all,
+    # edges into the special vertex (one live end) and loops (none) included
     for s in range(g.vertex_count):
-        _same_walk(_incidences(g), tuple(v for v in range(g.vertex_count) if v != s),
-                   range(g.edge_count))
-
-
-@settings(max_examples=150, deadline=None)
-@given(square_states())
-def test_greedy_matches_reference_walk_on_weighted_states(state):
-    # one-end edges, dead vertices and entries other than +-1 leave the
-    # walk of the reference
-    _same_walk(state.incidences,
-               tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
-               range(len(state.edge_weights)))
+        _, key, order, edges_at, ends = _cheapest(g, (s,))
+        rest = tuple(v for v in range(g.vertex_count) if v != s)
+        assert (order, key) == greedy_reference(rest, edges_at, ends)
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,23 +293,25 @@ def test_reversing_an_edge_scales_by_sign(g, data):
         assert r == sign * v.residue % v.prime, (g, i, v.prime)
 
 
-def _live_plan(state):
-    return _plan(state.incidences,
-                 tuple(v for v, w in enumerate(state.vertex_weights) if w > 0),
-                 tuple(e for e, w in enumerate(state.edge_weights) if w > 0))
+def _graph_plan(g, p):
+    # the plan at g's own special vertex (None when a loop gives 0 at
+    # every prime), and the vertex and edge weights at p
+    _, _, order, edges_at, ends = _cheapest(g, (g.special_vertex,))
+    plan = _steps(order, edges_at, ends) if all(ends.values()) else None
+    spec = block_spec(g)
+    n = spec.admissible_n(p)
+    return plan, n * spec.calV, n * spec.calE
 
 
-def _bound_holds(state):
+def _bound_holds(g, p):
     # the layer bounds, known before any state exists, cover the states
     # the DP visits
-    if max(state.vertex_weights + state.edge_weights, default=0) >= state.modulus:
+    plan, vertex, edge = _graph_plan(g, p)
+    if plan is None or max(vertex, edge) >= p:
         return
-    plan = _live_plan(state)
-    if plan is None:
-        return
-    loads = _loads(state, plan)
-    _, visited = _transfer(state, plan, loads)
-    assert sum(_state_bounds(loads, plan.widths)) >= visited, state
+    loads = _loads(plan, vertex, edge)
+    _, visited = _transfer(plan, loads, vertex, edge, p)
+    assert sum(_state_bounds(loads, plan.widths)) >= visited, (g, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -379,23 +319,20 @@ def _bound_holds(state):
 def test_state_bound_covers_visited_states_on_multigraphs(g):
     for s in range(g.vertex_count):
         for p in admissible_primes(block_spec(g).calV, 23):
-            _bound_holds(state_from_graph(g.with_special(s), p))
+            _bound_holds(g.with_special(s), p)
 
 
-@settings(max_examples=150, deadline=None)
-@given(square_states())
-def test_state_bound_covers_visited_states_on_weighted_states(state):
-    _bound_holds(state)
+def _largest_bound(g, p):
+    plan, vertex, edge = _graph_plan(g, p)
+    return max(_state_bounds(_loads(plan, vertex, edge), plan.widths))
 
 
 def test_state_cap_refuses_before_any_prime_runs(monkeypatch):
     # only the largest prime's layer bound is over the cap, and egp checks
     # it first, so no DP runs at all
     g = get_entry("P_7_10").decompletion()
-    state = state_from_graph(g.with_special(cheapest_special(g)[0]), 41)
-    plan = _live_plan(state)
     monkeypatch.setattr(cofactor, "DP_STATE_CAP",
-                        max(_state_bounds(_loads(state, plan), plan.widths)) - 1)
+                        _largest_bound(g.with_special(cheapest_special(g)[0]), 41) - 1)
     runs = []
     monkeypatch.setattr(cofactor, "_transfer",
                         lambda *args: runs.append(args) or _transfer(*args))
@@ -408,10 +345,7 @@ def test_state_cap_refuses_before_any_prime_runs(monkeypatch):
 def test_cofactor_refuses_before_any_prime_runs(monkeypatch):
     # as above, at the graph's own special vertex
     g = get_entry("P_7_10").decompletion()
-    state = state_from_graph(g, 41)
-    plan = _live_plan(state)
-    monkeypatch.setattr(cofactor, "DP_STATE_CAP",
-                        max(_state_bounds(_loads(state, plan), plan.widths)) - 1)
+    monkeypatch.setattr(cofactor, "DP_STATE_CAP", _largest_bound(g, 41) - 1)
     runs = []
     monkeypatch.setattr(cofactor, "_transfer",
                         lambda *args: runs.append(args) or _transfer(*args))
@@ -424,19 +358,19 @@ def test_cofactor_refuses_before_any_prime_runs(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(multigraphs())
 def test_sequence_plan_matches_per_prime_calculus(g):
-    # one plan per sequence gives the residues of planning every prime
-    # afresh, at every special vertex, and auto plans where
-    # cheapest_special points
+    # one plan per sequence gives the residues of the reduced oracle at
+    # each prime, at every special vertex, and auto plans where
+    # cheapest_special points; reduced refuses a disconnected graph, whose
+    # residues are 0
     primes = admissible_primes(block_spec(g).calV, 23)
     assume(primes)
     for s in range(g.vertex_count):
         h = g.with_special(s)
-        want = [cofactor_calculus(state_from_graph(h, p)) for p in primes]
+        want = [0] * len(primes)
         if h.is_connected():
+            want = [gperm_reduced(h, p) for p in primes]
             assert egp(h, 23, algorithm="cofactor").residues() == want, h
             assert egp(h, 23).residues() == want, h
-        else:
-            assert want == [0] * len(primes)
         special, cost, residues, _ = gperm_cofactor_primes(h, primes)
         assert residues == tuple(want)
         assert (special, cost) == cheapest_special(h)
@@ -452,10 +386,10 @@ def test_one_walk_per_candidate_and_one_plan_per_sequence(monkeypatch):
     seq = egp(g, 61)
     assert len(seq.values) == 17
     assert [set(range(7)) - set(w) for w in walks] == [{s} for s in range(7)]
-    # the plan is the one _plan makes at the chosen special vertex
-    special = cheapest_special(g)[0]
-    (plan,) = plans
-    assert plan == _live_plan(state_from_graph(g.with_special(special), 61))
+    # the plan is the one gperm_cofactor makes at the chosen special vertex
+    gperm_cofactor(g.with_special(cheapest_special(g)[0]), 61)
+    sequence_plan, plan = plans
+    assert sequence_plan == plan
 
 
 class _Clock:
