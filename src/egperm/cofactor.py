@@ -93,10 +93,9 @@ DP_STATE_CAP = 2_000_000
 class _Step:
     """Expansion of one vertex: its load slot and where its edges' remainders go."""
 
-    vertex: int
     load: int                        # its load slot, -1 when nothing folds onto it
-    folded: tuple[int, ...]          # earlier edges whose remainders land on it
-    forced: tuple[int, ...]          # edges with no other live end: it takes all
+    folded: int                      # how many earlier edges' remainders land on it
+    forced: int                      # how many of its edges have no other live end
     forced_entries: tuple[int, ...]  # their matrix entries at the vertex
     entering: tuple[int, ...]        # edges whose other live end comes later
     entries: tuple[int, ...]         # their matrix entries at the vertex
@@ -199,10 +198,9 @@ def _steps(order: list[int], edges_at: dict[int, list[int]],
         forced = [e for e in here if len(at[e]) == 1]
         entering = [e for e in here if at[e][0] == v and len(at[e]) == 2]
         steps.append(_Step(
-            vertex=v,
             load=load,
-            folded=tuple(folded[v]),
-            forced=tuple(forced),
+            folded=len(folded[v]),
+            forced=len(forced),
             forced_entries=tuple(ends[e][v] for e in forced),
             entering=tuple(entering),
             entries=tuple(ends[e][v] for e in entering),
@@ -256,7 +254,7 @@ def _loads(plan: _Plan, vertex: int, edge: int) -> list[int]:
     far less the vertex weight expanded."""
     loads, total = [], 0
     for step in plan.steps:
-        total += edge * (len(step.forced) + len(step.entering)) - vertex
+        total += edge * (step.forced + len(step.entering)) - vertex
         loads.append(total)
     return loads
 
@@ -297,9 +295,9 @@ def _transfer(plan: _Plan, loads: list[int], vertex: int, edge: int, p: int
         factor = tb.fact[vertex]
         for m in step.forced_entries:
             factor = factor * pow(m, edge, p) % p
-        room = vertex - edge * len(step.forced)
+        room = vertex - edge * step.forced
         entering = (edge,) * len(step.entering)
-        load = edge * len(step.folded)   # the most its load digit holds
+        load = edge * step.folded   # the most its load digit holds
         rows = [row(*a) for a in zip(step.entries, step.folds)]
         # the load digit; a place above every slot reads 0 on an unloaded
         # vertex, whose increments then clear nothing

@@ -22,13 +22,19 @@ prefactor and a (-1)^(linear form) sign.  The text grammar is::
 A linear form is terms joined by ``+`` or ``-``, after an optional ``-``;
 a term is an optional integer and an optional name, at least one of the
 two, e.g. ``2n - x0 - x1 + 1``.  Each parser step takes a token, and a
-token out of place raises ``ValueError`` naming it.  Evaluation is a
-dense numpy lattice over the variable ranges (``np.indices``), summed in
-the discrete-log domain of F_p^* as ``permanent.block_perm_mod`` is: each
+token out of place raises ``ValueError`` naming it.
+
+Evaluation sums over the lattice of the variable ranges in the
+discrete-log domain of F_p^*, as ``permanent.block_perm_mod`` does: each
 lattice point holds the sum of the logs of its factors, and one histogram
-of those sums gives the total (``ModTables.exp_sum``).  The sum runs over
-the whole lattice, so a variable that no factor mentions still counts its
-range.
+of those sums gives the total (``ModTables.exp_sum``).  Each call builds
+one log table with a segment per linear form that a factor reads, and
+every factor is a lookup into it, indexed by its form on sparse grids
+(``np.indices(..., sparse=True)``), so a lookup spans only its form's
+variables.  ``numtheory.lattice_sum`` adds the lookups group by group on
+their own sub-lattices, as it adds the rows of ``block_perm_mod``, so the
+whole lattice sees one addition per group.  The sum runs over the whole
+lattice, so a variable that no factor mentions still counts its range.
 """
 
 from __future__ import annotations
@@ -38,14 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import admissible_n, mod_tables
+from .numtheory import admissible_n, lattice_sum, mod_tables
 
 __all__ = ["LinForm", "BinomFactor", "BinomialSumExpr", "parse_expr", "format_expr", "eval_expr"]
 
 MAX_VARS = 5
-# eval_expr holds about 41 bytes per lattice point at its peak (int64 tops
-# and bottoms, their masks and the log sums), so a lattice at the cap peaks
-# near 270 MB
+# eval_expr holds about 2.2 bytes per lattice point at its peak on P_7_1 at
+# p = 97 (one int16 log sum per point), and 12 when a form spans every
+# variable (its int16 index, numpy's int64 copy of it and the int16 lookup),
+# as in P_7_2 and P_6_1, so a lattice at the cap peaks near 75 MB
 MAX_LATTICE = 6_000_000
 
 
@@ -59,16 +66,15 @@ class LinForm:
         env = {"1": 1, "n": n, **(grids or {})}
         return sum(c * env[s] for s, c in self.terms)
 
+    def __sub__(self, other: LinForm) -> LinForm:
+        coeffs = dict(self.terms)
+        for s, c in other.terms:
+            coeffs[s] = coeffs.get(s, 0) - c
+        return LinForm(tuple((s, c) for s, c in coeffs.items() if c))
+
     def is_fixed(self) -> bool:
         """True when no summation variable occurs."""
         return all(s in ("1", "n") for s, _ in self.terms)
-
-    def extent(self, n: int, bound: int) -> tuple[int, int]:
-        """Least and greatest value with every variable in 0..bound."""
-        variables = [(s, c) for s, c in self.terms if s not in ("1", "n")]
-        fixed = self.value(n, {s: 0 for s, _ in variables})
-        return (fixed + bound * sum(min(c, 0) for _, c in variables),
-                fixed + bound * sum(max(c, 0) for _, c in variables))
 
     def __str__(self) -> str:
         out = ""
@@ -233,14 +239,19 @@ def format_expr(e: BinomialSumExpr) -> str:
 def eval_expr(e: BinomialSumExpr, p: int) -> int:
     """Residue of the closed form at prime p = calV*n + 1.
 
-    Each ``BINOM(t, b)^k`` adds ``k * (log t! + log 1/b! + log 1/(t-b)!)``
-    from the cached ``ModTables.log_fact`` and ``log_inv_fact`` arrays, and
-    an odd ``SIGN`` adds ``log(-1) = (p-1)/2``.  An out-of-range binomial
-    adds a sentinel above every sum of nonzero factors, unless k = 0
-    (``0^0 = 1``).  A factor whose top has no summation variable (as in
-    every stored expression) is tabulated once over the range of its
-    bottom and looked up at each point.  The sums live in the narrowest
-    signed dtype that holds them."""
+    Each factor reads one log table, built once per call, at the values
+    of linear forms.  ``BINOM(t, b)^k`` with a top free of summation
+    variables reads ``k * log C(t, b)`` at b; any other reads ``k * log
+    t!`` at t, ``k * log 1/b!`` at b and ``k * log 1/(t-b)!`` at t - b;
+    the ``SIGN`` reads ``log(-1) = (p-1)/2`` at an odd value and 0 at an
+    even one.  A form's segment of the table covers the form's values on
+    the lattice, each entry reduced mod p-1, and a value that makes the
+    binomial 0 (a bottom or t - b below 0, or a top past p-1) reads a
+    sentinel above every sum of nonzero factors.  A ``^0`` factor reads
+    nothing (``0^0 = 1``).  Each lookup's index is its segment's offset
+    plus its form on the sparse grids, so it spans only the form's
+    variables, and ``numtheory.lattice_sum`` adds the lookups up group by
+    group before one histogram gives the total."""
     n = admissible_n(e.calV, p)
     if len(e.variables) > MAX_VARS:
         raise ValueError(f"too many summation variables ({len(e.variables)} > {MAX_VARS})")
@@ -259,36 +270,62 @@ def eval_expr(e: BinomialSumExpr, p: int) -> int:
         pref = pref * pow(f, abs(power), p) % p
     pref = pref * (1 - 2 * (e.prefactor_sign.value(n) % 2)) % p
 
-    shape = (max(bound + 1, 0),) * k
-    grids = dict(zip(e.variables, np.indices(shape, sparse=True)))
-    factors = [f for f in e.factors if f.power]  # BINOM(...)^0 is 1, even out of range
     m = p - 1
-    # each factor adds power * three logs in [0, p-2], the sign adds (p-1)/2
-    # (the log of -1); an out-of-range binomial adds `zero` instead, so a
-    # sum reaches `zero` iff a factor is 0, and every sum, like `zero`
-    # itself, is at most (len(factors) + 1) * zero
-    zero = tb.zero_log(3 * (p - 2) * sum(f.power for f in factors) + m // 2)
-    dt = tb.log_dtype((len(factors) + 1) * zero)
-    log_fact, log_inv_fact = tb.log_fact.astype(dt), tb.log_inv_fact.astype(dt)
+    span = max(bound, 0)
+    segments: list[np.ndarray] = []           # the table, in pieces
+    places: list[tuple[int, list]] = []        # (fixed - lo, variable terms) of each
 
-    def binom_logs(t, b, power: int) -> np.ndarray:
-        t, b = np.broadcast_arrays(t, b)
-        ok = (0 <= b) & (b <= t) & (t < p)
-        t, b = t * ok, b * ok
-        log_binom = log_fact[t] + log_inv_fact[b] + log_inv_fact[t - b]
-        return np.where(ok, power * log_binom, zero)
-
-    logs = np.zeros((), dtype=dt)
-    for f in factors:
-        if f.top.is_fixed():
-            # one top t over the whole lattice: tabulate the factor over the
-            # bottom's values lo..hi once, and look each point up there
-            lo, hi = f.bottom.extent(n, max(bound, 0))
-            table = binom_logs(f.top.value(n), np.arange(lo, hi + 1), f.power)
-            logs = logs + table[f.bottom.value(n, grids) - lo]
+    def segment(form: LinForm, logs: np.ndarray | None, power: int = 1) -> None:
+        # the segment over the form's values lo..hi on the lattice: power *
+        # logs[v] mod p-1 at a value v, and -1 (the sentinel, once known)
+        # where v is not an index of logs; or, with no logs, the sign's
+        # (p-1)/2 at an odd value and 0 at an even one
+        fixed, terms = 0, []
+        for s, c in form.terms:
+            if s in ("1", "n"):
+                fixed += c * (n if s == "n" else 1)
+            else:
+                terms.append((s, c))
+        lo = fixed + span * sum(c for _, c in terms if c < 0)
+        hi = fixed + span * sum(c for _, c in terms if c > 0)
+        if logs is None:
+            values = np.arange(lo, hi + 1) % 2 * (m // 2)
         else:
-            logs = logs + binom_logs(f.top.value(n, grids), f.bottom.value(n, grids),
-                                     f.power)
-    sign = np.asarray(e.sum_sign.value(n, grids)) % 2
-    logs = logs + (sign * (m // 2)).astype(dt)
-    return pref * tb.exp_sum(np.broadcast_to(logs, shape), zero) % p
+            values = np.full(hi - lo + 1, -1)
+            a, b = max(lo, 0), min(hi, len(logs) - 1)
+            if a <= b:
+                values[a - lo:b - lo + 1] = power * logs[a:b + 1] % m
+        segments.append(values)
+        places.append((fixed - lo, terms))
+
+    for f in e.factors:
+        if not f.power:
+            continue
+        if f.top.is_fixed():
+            t = f.top.value(n)
+            # log C(t, b) for b = 0..t
+            segment(f.bottom, tb.log_fact[t] + tb.log_inv_fact[:t + 1] + tb.log_inv_fact[t::-1]
+                    if 0 <= t < p else tb.log_fact[:0], f.power)
+        else:
+            segment(f.top, tb.log_fact, f.power)
+            segment(f.bottom, tb.log_inv_fact, f.power)
+            segment(f.top - f.bottom, tb.log_inv_fact, f.power)
+    segment(e.sum_sign, None)
+    # each lookup reads at most p-2 or the sentinel `zero`, so a sum
+    # reaches `zero` iff a factor is 0, and no sum passes len(segments) * zero
+    zero = tb.zero_log(len(segments) * (p - 2))
+    table = np.concatenate(segments)
+    table = np.where(table < 0, zero, table).astype(tb.log_dtype(len(segments) * zero))
+
+    # an index and its partial sums lie in (-len(table), len(table))
+    shape = (max(bound + 1, 0),) * k
+    grids = dict(zip(e.variables, np.indices(
+        shape, sparse=True, dtype=tb.log_dtype(max(len(table), span)))))
+    lookups, start = [], 0
+    for values, (offset, terms) in zip(segments, places):
+        index = start + offset
+        for s, c in terms:
+            index = index + c * grids[s]
+        lookups.append(table.take(index))
+        start += len(values)
+    return pref * tb.exp_sum(lattice_sum(lookups, shape), zero) % p

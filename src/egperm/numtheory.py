@@ -15,6 +15,7 @@ __all__ = [
     "check_bound",
     "primitive_root",
     "ModTables",
+    "lattice_sum",
 ]
 
 # largest prime bound of a graph-permanent sequence: each residue costs a
@@ -26,6 +27,9 @@ BOUND_CAP = 10_000
 # bound^2 / log(bound); wheel(5) takes about 3 s at this bound on a 2-CPU
 # machine (stored expressions are bounded by their lattice cap instead)
 CLOSED_FORM_CAP = 10_000
+# lattice points that ModTables.exp_sum counts at a time: bincount copies
+# its input to int64, so a chunk bounds that copy at 512 KiB
+_COUNT_CHUNK = 1 << 16
 
 
 def check_bound(bound: int, cap: int | None = None) -> None:
@@ -178,17 +182,66 @@ class ModTables:
         stands for a product with a zero factor and adds nothing.
 
         ``zero`` comes from ``zero_log``, ``logs`` is of a dtype that holds
-        it, and no entry is negative.  One ``bincount`` counts each sum, up
-        to the largest (a few multiples of ``zero`` for every caller), and
-        the counts below ``zero`` fold onto the exponents mod p-1.  The
+        it, and no entry is negative.  ``bincount`` counts each sum, up to
+        the largest (a few multiples of ``zero`` for every caller), a chunk
+        of ``_COUNT_CHUNK`` entries at a time, and the counts below
+        ``zero`` fold onto the exponents mod p-1.  The
         total is exact in int64: the folded counts and ``exp`` are below p,
         so each product is below p^2, and the p-1 products, each reduced
         below p again, sum below p^2.
         """
         m = self.p - 1
-        counts = np.bincount(np.ravel(logs), minlength=zero + 1)
-        folded = counts[:zero].reshape(-1, m).sum(axis=0)
+        logs = np.ravel(logs)
+        counts = np.zeros(zero, dtype=np.int64)
+        for i in range(0, logs.size, _COUNT_CHUNK):
+            counts += np.bincount(logs[i:i + _COUNT_CHUNK], minlength=zero + 1)[:zero]
+        folded = counts.reshape(-1, m).sum(axis=0)
         return int((folded % self.p * self.exp % self.p).sum() % self.p)
+
+
+def lattice_sum(terms: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The sum of ``terms`` over the whole lattice of ``shape``, summed group
+    by group, for ``ModTables.exp_sum``.
+
+    Each term is a scalar or a sparse array with one axis per lattice
+    axis, and it spans the axes where its length is above 1.  Taken
+    widest first, a term whose axes lie inside an earlier group's widest
+    term joins that group, and otherwise opens one.  A group adds up its
+    other members the same way, on their own sub-lattices, before it adds
+    them to its widest term.  From the widest group on, each next group
+    is the one that adds the fewest axes to the running sum, which is
+    added into in place once it holds an array of its own, so few
+    additions span the whole lattice.  An axis that no term spans still
+    counts its length.  There is at least one term.
+    """
+    spans = [(sum(1 << i for i, s in enumerate(np.shape(t)) if s > 1), t) for t in terms]
+    spans.sort(key=lambda at: at[0].bit_count(), reverse=True)
+    return np.broadcast_to(_group_sum(spans), shape)
+
+
+def _group_sum(spans: list[tuple[int, np.ndarray]]):
+    """``lattice_sum`` of (axis bit mask, term) pairs sorted widest first."""
+    groups: list[list[tuple[int, np.ndarray]]] = []
+    for axes, t in spans:
+        for group in groups:
+            if not axes & ~group[0][0]:
+                group.append((axes, t))
+                break
+        else:
+            groups.append([(axes, t)])
+    sums = [(axes, widest + _group_sum(rest) if rest else widest)
+            for (axes, widest), *rest in groups]
+    covered, total = sums.pop(0)
+    owned = False   # whether `total` is an array made here, free to add into
+    while sums:
+        axes, term = sums.pop(min(range(len(sums)),
+                                  key=lambda i: (covered | sums[i][0]).bit_count()))
+        if owned and not axes & ~covered:
+            total += term
+        else:
+            total, owned = total + term, True
+        covered |= axes
+    return total
 
 
 # a table holds two lists of p ints (and up to four arrays of p), so keep

@@ -24,8 +24,10 @@ reduction mod p.  Each column adds the log of its weight (the first
 column's also ``log 2`` on the doubled slices), and each row adds
 ``a * log(value)`` from one table indexed by the row value shifted from
 ``[-span, span]`` to start at 0.  A row's term spans only the axes of its
-nonzero columns, so rows whose axes lie inside a wider row's are summed
-on that row's sub-lattice first, and only one addition per such group
+nonzero columns, and ``numtheory.lattice_sum``, which also sums the
+closed forms of ``expressions.eval_expr``, adds the terms group by
+group: the rows and columns whose axes lie inside a wider row's are
+summed on that row's sub-lattice first, so only one addition per group
 spans the whole lattice.  A row value that is 0 mod p adds a
 sentinel above every sum of nonzero factors.  One histogram of the sums
 then gives the total exactly (``ModTables.exp_sum``): its counts below
@@ -44,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import OrientedGraph, block_spec, reduced_incidence
-from .numtheory import mod_tables
+from .numtheory import lattice_sum, mod_tables
 
 __all__ = [
     "DimensionCapError",
@@ -115,7 +117,8 @@ def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
     # u -> b - u leaves every summand alone, so column 0 stops at b // 2,
     # and a slice below b / 2 also counts for its mirror image
     half = b // 2
-    grids = np.indices((half + 1,) + (b + 1,) * (c - 1), sparse=True, dtype=dt)
+    shape = (half + 1,) + (b + 1,) * (c - 1)
+    grids = np.indices(shape, sparse=True, dtype=dt)
     # log of (-1)^u C(b, u): the ways to sign u of a column's b copies minus
     u = np.arange(b + 1)
     weight = (tb.log_fact[b] + tb.log_inv_fact[u] + tb.log_inv_fact[b - u]
@@ -134,27 +137,7 @@ def block_perm_mod(base, row_reps: int, col_reps: int, p: int) -> int:
                 shifted = shifted + int(x) * s
         return table[shifted]
 
-    # a row's term spans only the axes of its nonzero columns; a row whose
-    # axes lie inside a wider row's joins that row's group and is summed on
-    # the group's sub-lattice, so one addition per group spans the lattice
-    groups: list[tuple[set[int], list[np.ndarray]]] = []
-    for row in sorted(base, key=np.count_nonzero, reverse=True):
-        axes = set(np.flatnonzero(row))
-        for group_axes, rows in groups:
-            if axes <= group_axes:
-                rows.append(row)
-                break
-        else:
-            groups.append((axes, [row]))
-    logs, added = 0, set()
-    for group_axes, rows in groups:
-        term = sum(row_logs(row) for row in rows)
-        for j in sorted(group_axes - added):
-            term = term + columns[j]
-        added |= group_axes
-        logs = logs + term
-    for j in sorted(set(range(c)) - added):   # a zero column
-        logs = logs + columns[j]
+    logs = lattice_sum(columns + [row_logs(row) for row in base], shape)
     return tb.exp_sum(logs, zero) * pow(2, -a * r, p) % p
 
 

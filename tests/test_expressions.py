@@ -3,9 +3,13 @@ from contextlib import contextmanager
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egperm.catalog import get_entry, load_expression
-from egperm.expressions import MAX_LATTICE, eval_expr, format_expr, parse_expr
+from egperm.expressions import (
+    MAX_LATTICE, BinomFactor, BinomialSumExpr, LinForm, eval_expr, format_expr, parse_expr,
+)
 from egperm.graphs import block_spec
 from egperm.numtheory import admissible_primes
 from egperm.sequences import canonicalize_sign, sequence_from_row
@@ -178,3 +182,45 @@ def test_hand_written_expressions_match_brute_force(text):
         e = parse_expr(text, calV=calV)
         for p in admissible_primes(calV, 23):
             assert eval_expr(e, p) == eval_expr_brute(e, p), (calV, p)
+
+
+@st.composite
+def small_exprs(draw):
+    """A random closed form and an admissible prime small enough for
+    ``eval_expr_brute``: 0-3 variables, forms with coefficients -2..2 on
+    1, n and each variable, powers 0-3, fixed and variable tops, a sign,
+    a prefactor and a range, calV 1-3 and p <= 23."""
+    names = tuple(f"x{i}" for i in range(draw(st.integers(0, 3))))
+    coeff = st.integers(-2, 2)
+
+    def form(symbols):
+        return LinForm(tuple((s, c) for s in symbols if (c := draw(coeff))))
+
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        top = form(("1", "n", *names) if draw(st.booleans()) else ("1", "n"))
+        factors.append(BinomFactor(top, form(("1", "n", *names)), draw(st.integers(0, 3))))
+    range_bound = draw(st.sampled_from([LinForm((("n", 1),)), LinForm((("n", 1), ("1", -1))),
+                                        *(LinForm((("1", c),)) for c in (-1, 1, 2, 3))]))
+    calV = draw(st.integers(1, 3))
+    e = BinomialSumExpr(names, form(("1", "n", *names)), tuple(factors),
+                        ((LinForm((("n", 1),)), draw(st.integers(-1, 1))),),
+                        form(("1", "n")), range_bound, calV)
+    # at most 13^3 lattice points for the term-by-term oracle
+    primes = admissible_primes(calV, 23 if len(names) < 3 else 13)
+    return e, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_exprs())
+# a factor with no variable
+@example((parse_expr("SUM x0 { BINOM(n, 2)^2 * BINOM(n + 1, x0) } PREFACTOR fact(0)"), 11))
+# two factors over the same variables, one with a variable top
+@example((parse_expr("SUM x0 x1 { SIGN x0 + x1; BINOM(n, x0 + x1) * BINOM(2n - x0, x1 - x0)^2 } "
+                     "PREFACTOR fact(n)", calV=3), 13))
+# a variable that no factor mentions, and one that only the sign does
+@example((parse_expr("SUM x0 x1 x2 { SIGN x0; BINOM(n, x1)^3 } PREFACTOR fact(n)^-1 RANGE n - 1"),
+          13))
+def test_random_expressions_match_brute_force(case):
+    e, p = case
+    assert eval_expr(e, p) == eval_expr_brute(e, p), (format_expr(e), p)
