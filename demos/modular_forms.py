@@ -23,9 +23,8 @@ def main() -> None:
         series = eta_expand(product)
         primes = sorted(entry.row)
         raw = residue_row(series, primes)
-        canon = canonicalize_sign(
-            sequence_from_row(entry.name, entry.calV, entry.calE, raw))
-        coeffs = {v.prime: v.residue for v in canon.values}
+        coeffs = canonicalize_sign(
+            sequence_from_row(entry.name, entry.calV, entry.calE, raw)).row()
         print(f"{entry.name}: {entry.eta_product} (weight {product.weight})")
         print("  p      " + "  ".join(f"{p:>3}" for p in primes))
         print("  row    " + "  ".join(f"{entry.row[p]:>3}" for p in primes))

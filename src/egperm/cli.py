@@ -8,7 +8,8 @@ auto`` (the default) runs the cofactor calculus; ``direct`` and
 Glynn's sign lattice (the permanent is the determinant over GF(2) at
 p = 2).  ``EGPERM_LATTICE_CAP``, a positive integer, overrides their
 lattice size limit.  Exit status is 1 when a verification or
-reproduction check fails and 2 on bad input.
+reproduction check fails, 2 on bad input and 141 when the reader of
+standard output has gone.
 """
 
 from __future__ import annotations
@@ -18,19 +19,18 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 from . import numtheory, permanent
-from .catalog import (CatalogError, certificates, get_entry, load_catalog,
-                      load_expression)
+from .catalog import certificates, get_entry, load_catalog, load_expression
 from .expressions import eval_expr
 from .graphs import (GraphError, OrientedGraph, block_spec, decomplete,
                      parse_graph, wheel, zigzag)
 from .modform import compare, eta_expand, parse_eta_product, residue_row, series_from_csv
-from .numtheory import require_admissible_primes
+from .numtheory import largest_first, require_admissible_primes
 from .pointcount import reconcile
-from .sequences import (ALGORITHMS, EgpSequence, canonicalize_sign,
-                        check_zigzag_work, closed_form_tree, closed_form_wheel,
-                        closed_form_zigzag, egp, sequence_from_row, sequences_equal)
+from .sequences import (ALGORITHMS, FAMILIES, EgpSequence, canonicalize_sign,
+                        check_zigzag_work, egp, sequence_from_row, sequences_equal)
 from .transforms import FourCutSpec, isomorphic, planar_dual, schnetz_twist
 
 
@@ -100,20 +100,17 @@ def cmd_table(args) -> int:
             if not entry.has_edges:
                 report.append({"name": entry.name, "status": "row-only"})
                 continue
-            seq = canonicalize_sign(egp(entry.decompletion(), args.bound,
+            got = canonicalize_sign(egp(entry.decompletion(), args.bound,
                                         algorithm=args.algorithm,
-                                        graph_id=entry.name))
-            got = {v.prime: v.residue for v in seq.values}
+                                        graph_id=entry.name)).row()
         else:  # appendix B: stored closed-form expressions
             if entry.expression_file is None:
                 report.append({"name": entry.name, "status": "no-expression"})
                 continue
             expr = load_expression(entry.expression_file, entry.calV)
-            # largest prime first: a lattice over the cap fails before any work
-            raw = {p: eval_expr(expr, p) for p in reversed(primes)}
-            got = {v.prime: v.residue for v in canonicalize_sign(
-                sequence_from_row(entry.name, entry.calV, entry.calE, raw)
-            ).values}
+            raw = largest_first(partial(eval_expr, expr), primes)
+            got = canonicalize_sign(sequence_from_row(
+                entry.name, entry.calV, entry.calE, raw)).row()
         bad = [p for p in primes if got.get(p) != entry.row[p]]
         failures += len(bad)
         report.append({"name": entry.name,
@@ -245,37 +242,25 @@ def cmd_closed_form(args) -> int:
     if args.family == "zigzag":
         check_zigzag_work(args.size, args.bound)
     if args.family:
-        calV = 1 if args.family == "tree" else 2
+        calV, closed_form = FAMILIES[args.family]
+        label = f"{args.family}({args.size})"
     elif args.name is None:
         raise ValueError("closed-form needs --family or --name")
     else:
         entry = get_entry(args.name)
-        filename = entry.expression_file
-        calV = entry.calV
+        label, calV = entry.expression_file, entry.calV
         if args.completed:
-            filename = entry.completed_expression_file
+            label = entry.completed_expression_file
             calV = block_spec(entry.completed_graph()).calV
-        if filename is None:
+        if label is None:
             raise ValueError(f"no stored expression for {args.name}")
     primes = require_admissible_primes(calV, args.bound)
     if args.family:
-        vals = {}
-        for p in primes:
-            if args.family == "tree":
-                vals[p] = closed_form_tree(args.size, p)
-            elif args.family == "wheel":
-                vals[p] = closed_form_wheel(args.size, p)
-            else:
-                vals[p] = closed_form_zigzag(args.size, p)
-        label = f"{args.family}({args.size})"
         # report under the canonical sign convention
-        seq = canonicalize_sign(sequence_from_row(label, calV, 1, vals))
-        vals = {v.prime: v.residue for v in seq.values}
+        vals = canonicalize_sign(sequence_from_row(
+            label, calV, 1, largest_first(partial(closed_form, args.size), primes))).row()
     else:
-        expr = load_expression(filename, calV)
-        # largest prime first: a lattice over the cap fails before any work
-        vals = {p: eval_expr(expr, p) for p in reversed(primes)}
-        label = filename
+        vals = largest_first(partial(eval_expr, load_expression(label, calV)), primes)
     out = {"source": label, "primes": sorted(vals), "values": [vals[p] for p in sorted(vals)]}
     print(json.dumps(out) if args.json else
           "\n".join(f"p={p}: {vals[p]}" for p in sorted(vals)))
@@ -345,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_modform)
 
     p = sub.add_parser("closed-form", help="evaluate family/stored closed forms")
-    p.add_argument("--family", choices=("tree", "wheel", "zigzag"))
+    p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--size", type=int, default=3,
                    help="vertex count (tree/zigzag) or rim length (wheel)")
     p.add_argument("--name", help="catalog entry with a stored expression")
@@ -365,8 +350,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_cap_overrides()
-        return args.fn(args)
-    except (GraphError, CatalogError, ValueError, OSError) as exc:
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (`egp table | head -1`): end quietly,
+        # with the status a shell gives a tool killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import OrientedGraph, block_spec
-from .numtheory import mod_tables
+from .numtheory import admissible_n, largest_first, mod_tables
 
 __all__ = ["gperm_cofactor_primes", "gperm_cofactor", "cheapest_special"]
 
@@ -95,10 +95,8 @@ class _Step:
 
     load: int                        # its load slot, -1 when nothing folds onto it
     folded: int                      # how many earlier edges' remainders land on it
-    forced: int                      # how many of its edges have no other live end
-    forced_entries: tuple[int, ...]  # their matrix entries at the vertex
-    entering: tuple[int, ...]        # edges whose other live end comes later
-    entries: tuple[int, ...]         # their matrix entries at the vertex
+    forced: tuple[int, ...]          # its entries on the edges with no other live end
+    entries: tuple[int, ...]         # its entries on the edges whose other live end comes later
     targets: tuple[int, ...]         # load slot of each one's other end
     folds: tuple[int, ...]           # each one's matrix entry at its other end
 
@@ -200,9 +198,7 @@ def _steps(order: list[int], edges_at: dict[int, list[int]],
         steps.append(_Step(
             load=load,
             folded=len(folded[v]),
-            forced=len(forced),
-            forced_entries=tuple(ends[e][v] for e in forced),
-            entering=tuple(entering),
+            forced=tuple(ends[e][v] for e in forced),
             entries=tuple(ends[e][v] for e in entering),
             targets=tuple(load_slot[at[e][1]] for e in entering),
             folds=tuple(ends[e][at[e][1]] for e in entering),
@@ -254,7 +250,7 @@ def _loads(plan: _Plan, vertex: int, edge: int) -> list[int]:
     far less the vertex weight expanded."""
     loads, total = [], 0
     for step in plan.steps:
-        total += edge * (step.forced + len(step.entering)) - vertex
+        total += edge * (len(step.forced) + len(step.entries)) - vertex
         loads.append(total)
     return loads
 
@@ -293,10 +289,10 @@ def _transfer(plan: _Plan, loads: list[int], vertex: int, edge: int, p: int
     visited = 0
     for step in plan.steps:
         factor = tb.fact[vertex]
-        for m in step.forced_entries:
+        for m in step.forced:
             factor = factor * pow(m, edge, p) % p
-        room = vertex - edge * step.forced
-        entering = (edge,) * len(step.entering)
+        room = vertex - edge * len(step.forced)
+        entering = (edge,) * len(step.entries)
         load = edge * step.folded   # the most its load digit holds
         rows = [row(*a) for a in zip(step.entries, step.folds)]
         # the load digit; a place above every slot reads 0 on an unloaded
@@ -391,11 +387,13 @@ def gperm_cofactor_primes(g: OrientedGraph, primes: Iterable[int], choose_specia
     plan = _steps(order, edges_at, ends) if all(ends.values()) else None
     planned = time.perf_counter() - start if debug else None
     spec = block_spec(g)
-    residues = {}
-    for p in sorted(set(primes), reverse=True):
-        n = spec.admissible_n(p)
-        residues[p] = 0 if plan is None else _residue(
+
+    def residue(p: int) -> int:
+        n = admissible_n(spec.calV, p)
+        return 0 if plan is None else _residue(
             g, special, plan, n * spec.calV, n * spec.calE, p, debug)
+
+    residues = largest_first(residue, primes)
     return special, cost, tuple(residues[p] for p in primes), planned
 
 

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import admissible_n
 
 __all__ = [
     "OrientedGraph",
@@ -120,10 +119,6 @@ class BlockSpec:
     L: int
     calV: int
     calE: int
-
-    def admissible_n(self, p: int) -> int:
-        """The n with ``p = n*calV + 1``; ValueError if p is not admissible."""
-        return admissible_n(self.calV, p)
 
 
 def build_graph(edge_list: Iterable[tuple[int, int]],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -12,6 +13,7 @@ __all__ = [
     "admissible_primes",
     "require_admissible_primes",
     "admissible_n",
+    "largest_first",
     "check_bound",
     "primitive_root",
     "ModTables",
@@ -83,6 +85,13 @@ def admissible_n(calV: int, p: int) -> int:
     if (p - 1) % calV != 0 or p <= calV:
         raise ValueError(f"prime {p} is not admissible for calV={calV}")
     return (p - 1) // calV
+
+
+def largest_first(residue: Callable[[int], int], primes: Iterable[int]) -> dict[int, int]:
+    """``{p: residue(p)}`` over the distinct ``primes``, computed (and keyed)
+    from the largest down: a size cap grows with p, so a run over its cap
+    is refused before any prime's work."""
+    return {p: residue(p) for p in sorted(set(primes), reverse=True)}
 
 
 def primitive_root(p: int) -> int:

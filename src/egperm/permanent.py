@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import OrientedGraph, block_spec, reduced_incidence
-from .numtheory import lattice_sum, mod_tables
+from .numtheory import admissible_n, lattice_sum, mod_tables
 
 __all__ = [
     "DimensionCapError",
@@ -181,7 +181,7 @@ def blockwise_row_reduce(m) -> tuple[np.ndarray, list[int]]:
 def gperm_direct(g: OrientedGraph, p: int) -> int:
     """Graph permanent at p straight from the block incidence matrix."""
     spec = block_spec(g)
-    n = spec.admissible_n(p)
+    n = admissible_n(spec.calV, p)
     m = reduced_incidence(g)
     return block_perm_mod(m, n * spec.calV, n * spec.calE, p)
 
@@ -193,7 +193,7 @@ def gperm_reduced(g: OrientedGraph, p: int) -> int:
     block permanent of A, scaled by a falling-factorial power.
     """
     spec = block_spec(g)
-    n = spec.admissible_n(p)
+    n = admissible_n(spec.calV, p)
     m = reduced_incidence(g)
     reduced, _ = blockwise_row_reduce(m)
     r = m.shape[0]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, OrientedGraph, block_spec, duplicate_edges, reduced_incidence
-from .numtheory import mod_tables, primitive_root
+from .numtheory import admissible_n, mod_tables, primitive_root
 
 __all__ = [
     "LinearFormProduct",
@@ -88,7 +88,7 @@ def coefficient_oracle(g: OrientedGraph, p: int) -> int:
     bounds the entries times those passes.
     """
     spec = block_spec(g)
-    n = spec.admissible_n(p)
+    n = admissible_n(spec.calV, p)
     f = permanent_polynomial(g)
     L = f.num_vars
     work = (n + 1) ** L * n * L
@@ -170,7 +170,7 @@ def reconcile(g: OrientedGraph, p: int, gperm: int | None = None) -> dict:
     if gperm is None:
         from .cofactor import gperm_cofactor
         gperm = gperm_cofactor(g, p)
-    n = (p - 1) // spec.calV
+    n = admissible_n(spec.calV, p)
     L = spec.L
     scale = pow(mod_tables(p).fact[n], L, p)
     count_side = (-1) ** (L + 1) * scale * count % p

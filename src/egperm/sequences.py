@@ -17,7 +17,7 @@ import numpy as np
 
 from .cofactor import gperm_cofactor_primes
 from .graphs import OrientedGraph, block_spec
-from .numtheory import check_bound, mod_tables, require_admissible_primes
+from .numtheory import check_bound, largest_first, mod_tables, require_admissible_primes
 from .permanent import gperm_direct, gperm_reduced
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "closed_form_tree",
     "closed_form_wheel",
     "closed_form_zigzag",
+    "FAMILIES",
     "check_zigzag_work",
 ]
 
@@ -59,9 +60,9 @@ class EgpSequence:
     def residues(self) -> list[int]:
         return [v.residue for v in self.values]
 
-
-def _variate(n: int, calE: int) -> bool:
-    return (n * calE) % 2 == 1
+    def row(self) -> dict[int, int]:
+        """The residues keyed by prime, the inverse of ``sequence_from_row``."""
+        return dict(zip(self.primes(), self.residues()))
 
 
 def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
@@ -87,24 +88,20 @@ def egp(g: OrientedGraph, bound: int, algorithm: str = "auto",
     spec = block_spec(g)
     primes = require_admissible_primes(spec.calV, bound)
     if not g.is_connected():
-        residues = [0] * len(primes)
+        row = dict.fromkeys(primes, 0)
     elif algorithm in ("auto", "cofactor"):
         special, cost, residues, planned = gperm_cofactor_primes(
             g, primes, choose_special=algorithm == "auto")
+        row = dict(zip(primes, residues))
         if planned is not None:
             _log.debug("egp %s: special vertex %d (given %d), cost key %s, "
                        "planned in %.4f s", graph_id or "-", special,
                        g.special_vertex, cost, planned)
     else:
-        # direct and reduced are the cross-check oracles; largest prime
-        # first, so a lattice over its cap fails before any work
+        # direct and reduced are the cross-check oracles
         oracle = gperm_direct if algorithm == "direct" else gperm_reduced
-        residues = [oracle(g, p) for p in reversed(primes)][::-1]
-    values = []
-    for p, residue in zip(primes, residues):
-        n = (p - 1) // spec.calV
-        values.append(EgpValue(p, n, residue, _variate(n, spec.calE)))
-    return EgpSequence(graph_id, spec.calV, spec.calE, tuple(values))
+        row = largest_first(lambda p: oracle(g, p), primes)
+    return sequence_from_row(graph_id, spec.calV, spec.calE, row)
 
 
 def _merge_components(g: OrientedGraph) -> OrientedGraph:
@@ -143,9 +140,7 @@ def sequences_equal(a: EgpSequence, b: EgpSequence) -> bool:
     """Canonical equality at every shared prime (same prime family required)."""
     if a.calV != b.calV:
         raise ValueError("sequences live over different prime families")
-    ca, cb = canonicalize_sign(a), canonicalize_sign(b)
-    da = {v.prime: v.residue for v in ca.values}
-    db = {v.prime: v.residue for v in cb.values}
+    da, db = canonicalize_sign(a).row(), canonicalize_sign(b).row()
     shared = sorted(set(da) & set(db))
     if not shared:
         raise ValueError("sequences share no primes")
@@ -154,11 +149,12 @@ def sequences_equal(a: EgpSequence, b: EgpSequence) -> bool:
 
 def sequence_from_row(graph_id: str, calV: int, calE: int,
                       row: dict[int, int]) -> EgpSequence:
-    """Wrap a stored prime -> residue row as a canonicalized sequence."""
+    """A prime -> residue row as a sequence in increasing primes, each residue
+    reduced mod p; the sign is kept as given (see ``canonicalize_sign``)."""
     values = []
     for p in sorted(row):
         n = (p - 1) // calV
-        values.append(EgpValue(p, n, row[p] % p, _variate(n, calE)))
+        values.append(EgpValue(p, n, row[p] % p, n * calE % 2 == 1))
     return EgpSequence(graph_id, calV, calE, tuple(values))
 
 
@@ -237,3 +233,11 @@ def closed_form_zigzag(m: int, p: int) -> int:
     # the last part is k_{m-1} = n - S, with C(n, n - S) = C(n, S)
     total = int((f * binom_n).sum() % p)
     return (-total) % p if (m - 1) % 2 else total
+
+
+# family -> (calV of its decompletions, closed form at p of a size)
+FAMILIES = {
+    "tree": (1, closed_form_tree),
+    "wheel": (2, closed_form_wheel),
+    "zigzag": (2, closed_form_zigzag),
+}

@@ -23,7 +23,7 @@ from itertools import permutations, product
 import numpy as np
 
 from egperm.graphs import GraphError, block_spec
-from egperm.numtheory import mod_tables
+from egperm.numtheory import admissible_n, mod_tables
 from egperm.permanent import DimensionCapError
 from egperm.pointcount import permanent_polynomial
 from egperm.transforms import AUTOMORPHISM_VERTEX_CAP
@@ -181,7 +181,7 @@ def coefficient_dense(g, p: int) -> int:
     ``F^(p-1)``, by dense convolution on a ``p^L`` tensor that drops any
     exponent above ``p - 1`` on the fly."""
     spec = block_spec(g)
-    n = spec.admissible_n(p)
+    n = admissible_n(spec.calV, p)
     f = permanent_polynomial(g)
     L = f.num_vars
     shape = (p,) * L

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import egperm
+import egperm.cli as cli
+import egperm.expressions as expressions
 import egperm.numtheory as numtheory
 import egperm.permanent as permanent
 import egperm.pointcount as pointcount
 from egperm.expressions import MAX_LATTICE
 from egperm.cli import main
-from egperm.catalog import get_entry
+from egperm.catalog import get_entry, load_expression
 from egperm.graphs import format_graph, wheel
 from test_expressions import deadline
 
@@ -95,6 +102,42 @@ def test_closed_form_over_the_lattice_cap_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"MAX_LATTICE = {MAX_LATTICE}" in err
+
+
+@pytest.mark.parametrize("argv", [("table", "--appendix", "B"),
+                                  ("closed-form", "--name", "P_7_1")])
+def test_stored_expressions_run_the_largest_prime_first(capsys, monkeypatch, argv):
+    # the cap passes P_7_1's lattice at p = 37 but not at 41, so its
+    # refusal comes before any smaller prime is evaluated (table B runs
+    # the entries before P_7_1 in full, on smaller lattices)
+    expr = load_expression(get_entry("P_7_1").expression_file, 2)
+    monkeypatch.setattr(expressions, "MAX_LATTICE",
+                        (expr.range_bound.value(numtheory.admissible_n(2, 37)) + 1)
+                        ** len(expr.variables))
+    calls = []
+    monkeypatch.setattr(cli, "eval_expr", lambda e, p: calls.append((e, p))
+                        or expressions.eval_expr(e, p))
+    code, out, err = run(capsys, *argv, "--bound", "41")
+    assert code == 2 and out == ""
+    assert "MAX_LATTICE" in err
+    assert [p for e, p in calls if e is calls[-1][0]] == [41]
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader is gone before egp writes (it buffers its whole output):
+    # no error line, and the status a shell gives a tool stopped by SIGPIPE
+    src = Path(egperm.__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), path] if path else [str(src)]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "egperm.cli", "table", "--appendix", "A",
+                               "--bound", "13"], stdout=write, stderr=subprocess.PIPE,
+                              env=env, check=False)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_modform_compare_default_eta(capsys):

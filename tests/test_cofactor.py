@@ -16,7 +16,7 @@ from egperm.graphs import (
     banana, block_spec, build_graph, circulant, cycle, decomplete, reduced_incidence, wheel,
     zigzag,
 )
-from egperm.numtheory import admissible_primes
+from egperm.numtheory import admissible_n, admissible_primes
 from egperm.permanent import DimensionCapError, gperm_direct, gperm_reduced
 from egperm.sequences import egp
 from egperm.transforms import two_vertex_split
@@ -125,7 +125,7 @@ def test_weight_beyond_modulus_vanishes():
     # p - 1, and 4! divides the permanent
     g = build_graph([(1, 2)], 3, 0)
     spec = block_spec(g)
-    assert spec.admissible_n(3) * spec.calE == 4
+    assert admissible_n(spec.calV, 3) * spec.calE == 4
     assert [gperm_cofactor(g, p) for p in (2, 3, 5, 7)] == [0, 0, 0, 0]
 
 
@@ -140,7 +140,7 @@ def test_block_permanent_against_leibniz(g):
         spec = block_spec(h)
         m = reduced_incidence(h)
         for p in admissible_primes(spec.calV, 8 // spec.L * spec.calV + 1):
-            n = spec.admissible_n(p)
+            n = admissible_n(spec.calV, p)
             block = np.kron(np.ones((n * spec.calV, n * spec.calE), dtype=np.int64), m)
             assert gperm_cofactor(h, p) == perm_leibniz(block) % p, (h, p)
 
@@ -299,7 +299,7 @@ def _graph_plan(g, p):
     _, _, order, edges_at, ends = _cheapest(g, (g.special_vertex,))
     plan = _steps(order, edges_at, ends) if all(ends.values()) else None
     spec = block_spec(g)
-    n = spec.admissible_n(p)
+    n = admissible_n(spec.calV, p)
     return plan, n * spec.calV, n * spec.calE
 
 

@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egperm.permanent as permanent
+import egperm.sequences as sequences
 from egperm.graphs import (
     OrientedGraph,
     block_spec,
@@ -15,7 +18,7 @@ from egperm.graphs import (
     zigzag,
 )
 from egperm.numtheory import primes_upto
-from egperm.permanent import gperm_direct
+from egperm.permanent import DimensionCapError, gperm_direct
 from egperm.sequences import (
     canonicalize_sign,
     closed_form_tree,
@@ -158,3 +161,32 @@ def test_block_spec_consistency():
     spec = block_spec(zigzag(4))
     assert (s.calV, s.calE) == (spec.calV, spec.calE)
     assert s.values[0].residue == gperm_direct(zigzag(4), 3)
+
+
+@pytest.mark.parametrize("algorithm", ["direct", "reduced"])
+def test_oracle_cap_refuses_before_any_prime_runs(monkeypatch, algorithm):
+    # the cap passes the block Glynn lattice (the smaller side) of every
+    # prime but the largest, which egp runs first, so no other prime runs
+    g = wheel(4)
+    lattices = {}
+    block_perm_mod = permanent.block_perm_mod
+
+    def measure(base, a, b, p):
+        r, c = np.shape(base)
+        lattices[p] = min((a + 1) ** r, (b + 1) ** c)
+        return block_perm_mod(base, a, b, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(permanent, "block_perm_mod", measure)
+        egp(g, 13, algorithm=algorithm)
+    *rest, second, largest = sorted(lattices)
+    assert lattices[largest] > lattices[second] >= max(lattices[p] for p in rest)
+    monkeypatch.setattr(permanent, "LATTICE_CAP", lattices[second])
+    oracle = getattr(sequences, f"gperm_{algorithm}")
+    runs = []
+    monkeypatch.setattr(sequences, f"gperm_{algorithm}",
+                        lambda h, p: runs.append(p) or oracle(h, p))
+    with pytest.raises(DimensionCapError):
+        egp(g, 13, algorithm=algorithm)
+    assert runs == [largest]
+    assert egp(g, second, algorithm=algorithm).primes()[-1] == second

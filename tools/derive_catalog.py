@@ -191,9 +191,8 @@ def is_primitive(g: OrientedGraph) -> bool:
 
 
 def canonical_row(dec: OrientedGraph, primes: list[int]) -> list[int]:
-    seq = canonicalize_sign(egp(dec, max(primes)))
-    by_p = {v.prime: v.residue for v in seq.values}
-    return [by_p[p] for p in primes]
+    row = canonicalize_sign(egp(dec, max(primes))).row()
+    return [row[p] for p in primes]
 
 
 def any_decompletion_szp(g: OrientedGraph) -> bool:
